@@ -15,7 +15,7 @@
 //!    ([`crate::placement::PlacementMap::remap_and_release`]);
 //! 8. GC → sender &amp; receiver: [`ToEngine::Resume`] — exit `sr_mode`.
 //!
-//! The same enums carry the data path ([`ToEngine::Data`]), the periodic
+//! The same enums carry the data path ([`ToEngine::DataBatch`]), the periodic
 //! statistics ([`FromEngine::Stats`]) and the active-disk strategy's
 //! forced-spill command ([`ToEngine::StartSpill`]), so the threaded
 //! runtime runs the entire system over two channel types.
@@ -23,7 +23,6 @@
 use dcape_common::batch::TupleBatch;
 use dcape_common::ids::{EngineId, PartitionId};
 use dcape_common::time::VirtualTime;
-use dcape_common::tuple::Tuple;
 use dcape_engine::stats::EngineStatsReport;
 use dcape_metrics::journal::{CountersSnapshot, JournalEntry};
 use dcape_storage::SpilledGroup;
@@ -47,17 +46,8 @@ pub struct GroupTransfer {
 /// Messages delivered *to* a query engine.
 #[derive(Debug)]
 pub enum ToEngine {
-    /// One routed data tuple for the given partition.
-    Data {
-        /// Target partition.
-        pid: PartitionId,
-        /// The tuple.
-        tuple: Tuple,
-    },
-    /// A whole tick's worth of routed tuples for this engine — the
-    /// batched data path. Semantically identical to a sequence of
-    /// [`ToEngine::Data`] messages in batch order, but one channel send
-    /// per engine per tick.
+    /// Routed tuples for this engine: one or more generator ticks'
+    /// worth, or the tuples a paused split released.
     DataBatch {
         /// The routed tuples, in arrival order.
         tuples: TupleBatch,

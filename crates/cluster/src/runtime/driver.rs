@@ -1,5 +1,6 @@
 //! Coordinator-side protocol logic shared by the [`super::threaded`] and
-//! [`super::socket`] drivers.
+//! [`super::socket`] drivers (the [`super::sim`] driver shares
+//! [`replay_batch`]).
 //!
 //! Both drivers run the same loop — source, splits, global coordinator —
 //! and differ only in how a `ToEngine` message reaches its engine (a
@@ -11,11 +12,10 @@
 
 use dcape_common::batch::TupleBatch;
 use dcape_common::error::{DcapeError, Result};
-use dcape_common::ids::EngineId;
+use dcape_common::ids::{EngineId, PartitionId};
 use dcape_common::time::{VirtualDuration, VirtualTime};
+use dcape_common::tuple::Tuple;
 use dcape_metrics::journal::{AdaptEvent, CountersSnapshot, JournalEntry, JournalHandle};
-
-use dcape_common::ids::PartitionId;
 
 use crate::coordinator::{DrainStep, EngineState, GlobalCoordinator, TimeoutAction};
 use crate::faults::{FaultDecision, FaultEdge, FaultPlan};
@@ -95,6 +95,25 @@ pub(crate) fn intercept_drain_cleanup(
         }
         other => Ok(Some(other)),
     }
+}
+
+/// Turn the per-partition tuple lists a paused split released into the
+/// one batch that replays them, and account them as replayed (no
+/// longer buffered). Each list is in arrival order, so the batch is a
+/// stable reordering by partition of the buffered arrivals.
+pub(crate) fn replay_batch(
+    released: Vec<(PartitionId, Vec<Tuple>)>,
+    journal: &JournalHandle,
+) -> TupleBatch {
+    let mut batch = TupleBatch::new();
+    for (pid, tuples) in released {
+        for tuple in tuples {
+            batch.push(pid, tuple);
+        }
+    }
+    journal.sub_buffered_in_flight(batch.len() as u64);
+    journal.add_replayed_in_order(batch.len() as u64);
+    batch
 }
 
 /// Driver-held control messages the chaos layer delayed (`Cptv`,
@@ -241,6 +260,7 @@ pub(crate) fn finalize_drain_remap(
     gc: &mut GlobalCoordinator,
     placement: &mut PlacementMap,
     send: &mut SendFn,
+    journal: &JournalHandle,
     engine: EngineId,
     receiver: EngineId,
     now: VirtualTime,
@@ -249,10 +269,9 @@ pub(crate) fn finalize_drain_remap(
     if !parts.is_empty() {
         placement.pause(&parts)?;
         let released = placement.remap_and_release(&parts, receiver)?;
-        for (pid, tuples) in released {
-            for tuple in tuples {
-                send(receiver, ToEngine::Data { pid, tuple })?;
-            }
+        let tuples = replay_batch(released, journal);
+        if !tuples.is_empty() {
+            send(receiver, ToEngine::DataBatch { tuples })?;
         }
     }
     gc.drain_finalized(engine, parts.len(), now);
@@ -306,7 +325,7 @@ pub(crate) fn handle_drain_step(
             held,
         ),
         DrainStep::FinalizeRemap { engine, receiver } => {
-            finalize_drain_remap(gc, placement, send, engine, receiver, now)
+            finalize_drain_remap(gc, placement, send, journal, engine, receiver, now)
         }
     }
 }
@@ -322,7 +341,6 @@ pub(crate) fn handle_timeout_action(
     send: &mut SendFn,
     journal: &JournalHandle,
     now: VirtualTime,
-    batch_mode: bool,
     plan: &FaultPlan,
     held: &mut HeldSends,
 ) -> Result<()> {
@@ -396,28 +414,10 @@ pub(crate) fn handle_timeout_action(
                 // Release without remapping: ownership never changed,
                 // so the buffered tuples replay to the original owner.
                 let released = placement.release_paused(&parts)?;
-                let mut buffered = 0u64;
-                if batch_mode {
-                    let mut flush = TupleBatch::new();
-                    for (pid, tuples) in released {
-                        buffered += tuples.len() as u64;
-                        for tuple in tuples {
-                            flush.push(pid, tuple);
-                        }
-                    }
-                    if !flush.is_empty() {
-                        send(sender, ToEngine::DataBatch { tuples: flush })?;
-                    }
-                } else {
-                    for (pid, tuples) in released {
-                        buffered += tuples.len() as u64;
-                        for tuple in tuples {
-                            send(sender, ToEngine::Data { pid, tuple })?;
-                        }
-                    }
+                let tuples = replay_batch(released, journal);
+                if !tuples.is_empty() {
+                    send(sender, ToEngine::DataBatch { tuples })?;
                 }
-                journal.sub_buffered_in_flight(buffered);
-                journal.add_replayed_in_order(buffered);
                 if let Some(held_at) = held_since {
                     journal
                         .add_watermark_held_ms(now.as_millis().saturating_sub(held_at.as_millis()));
@@ -444,7 +444,6 @@ pub(crate) fn handle_coordinator_msg(
     journal: &JournalHandle,
     now: VirtualTime,
     watermark: VirtualTime,
-    batch_mode: bool,
     plan: &FaultPlan,
     held: &mut HeldSends,
 ) -> Result<()> {
@@ -584,28 +583,12 @@ pub(crate) fn handle_coordinator_msg(
                 }) => {
                     journal.add_relocation_bytes(bytes);
                     // Step 7: flush the split-side buffers to the new
-                    // owner — as one batch in batch mode (per-pid lists
-                    // arrive in order; batching is a stable reordering).
+                    // owner as one batch.
                     let released = placement.remap_and_release(&parts, receiver)?;
-                    let mut buffered = 0u64;
-                    if batch_mode {
-                        let mut flush = TupleBatch::new();
-                        for (pid, tuples) in released {
-                            buffered += tuples.len() as u64;
-                            for tuple in tuples {
-                                flush.push(pid, tuple);
-                            }
-                        }
-                        if !flush.is_empty() {
-                            send(receiver, ToEngine::DataBatch { tuples: flush })?;
-                        }
-                    } else {
-                        for (pid, tuples) in released {
-                            buffered += tuples.len() as u64;
-                            for tuple in tuples {
-                                send(receiver, ToEngine::Data { pid, tuple })?;
-                            }
-                        }
+                    let tuples = replay_batch(released, journal);
+                    let buffered = tuples.len() as u64;
+                    if !tuples.is_empty() {
+                        send(receiver, ToEngine::DataBatch { tuples })?;
                     }
                     journal.record(
                         now,
@@ -620,8 +603,6 @@ pub(crate) fn handle_coordinator_msg(
                             load_ratio: 0.0,
                         },
                     );
-                    journal.sub_buffered_in_flight(buffered);
-                    journal.add_replayed_in_order(buffered);
                     journal.add_watermark_held_ms(
                         now.as_millis().saturating_sub(held_since.as_millis()),
                     );

@@ -35,6 +35,7 @@ use crate::faults::{FaultDecision, FaultEdge, FaultPlan};
 use crate::netmodel::NetworkModel;
 use crate::placement::{PlacementMap, PlacementSpec, Route};
 use crate::relocation::Action;
+use crate::runtime::driver::replay_batch;
 use crate::strategy::{Decision, StrategyConfig};
 
 use dcape_engine::controller::Mode;
@@ -112,18 +113,6 @@ pub struct SimConfig {
     /// Record a structured adaptation-event journal (merged into the
     /// report); off by default.
     pub journal: bool,
-    /// Use the batched dataflow (one routed batch per engine per tick)
-    /// instead of per-tuple delivery. On by default; results, state and
-    /// journal totals are identical either way — the flag exists so the
-    /// equivalence can be tested and benchmarked.
-    pub batch: bool,
-    /// Resolve whole probe products without enumeration when results
-    /// are only being counted (product counting + window pruning). On
-    /// by default; counts, state and journal totals are identical
-    /// either way — the flag exists so the equivalence can be tested
-    /// and benchmarked. Ignored when `collect_results` is set (full
-    /// results force enumeration).
-    pub count_first: bool,
     /// Deterministic fault injection over the relocation protocol's
     /// message edges (see [`crate::faults`]). Disabled by default; an
     /// active plan also arms the coordinator's per-phase
@@ -155,8 +144,6 @@ impl SimConfig {
             network: NetworkModel::gigabit(),
             collect_results: false,
             journal: false,
-            batch: true,
-            count_first: true,
             faults: FaultPlan::disabled(),
             scale_events: Vec::new(),
         }
@@ -165,18 +152,6 @@ impl SimConfig {
     /// Builder-style: inject deterministic faults from the given plan.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Builder-style: enable or disable the batched dataflow.
-    pub fn with_batching(mut self, batch: bool) -> Self {
-        self.batch = batch;
-        self
-    }
-
-    /// Builder-style: enable or disable count-first result delivery.
-    pub fn with_count_first(mut self, count_first: bool) -> Self {
-        self.count_first = count_first;
         self
     }
 
@@ -374,22 +349,28 @@ enum DelayedEvent {
     },
 }
 
-/// Counting/collecting output sink.
+/// Counting output sink that also materializes results when the run
+/// collects them.
 #[derive(Debug, Default)]
 struct SimSink {
     count: u64,
     collect: Option<CollectingSink>,
-    /// Take the count-only fast path for whole probe products. Forced
-    /// off while collecting (materializing results needs enumeration).
-    count_first: bool,
+}
+
+impl SimSink {
+    fn new(collect: bool) -> Self {
+        SimSink {
+            count: 0,
+            collect: collect.then(CollectingSink::new),
+        }
+    }
 }
 
 impl ResultSink for SimSink {
     fn wants_rows(&self) -> bool {
-        // Mirror of the count-fast-path condition in `emit_product`:
-        // when whole products are only counted, columnar state may skip
-        // materializing rows entirely.
-        !(self.count_first && self.collect.is_none())
+        // Whole products that are only counted never touch rows, so
+        // columnar state may skip materializing them.
+        self.collect.is_some()
     }
 
     fn emit(&mut self, parts: &[&Tuple]) {
@@ -400,7 +381,7 @@ impl ResultSink for SimSink {
     }
 
     fn emit_product(&mut self, spans: &dcape_engine::probe::ProbeSpans<'_, '_>) -> u64 {
-        if self.count_first && self.collect.is_none() {
+        if self.collect.is_none() {
             let n = spans.count_valid();
             self.count += n;
             n
@@ -441,9 +422,9 @@ pub struct SimDriver {
     mirrored_spill_written: u64,
     /// Encoded spill read-back volume already mirrored (see above).
     mirrored_spill_read: u64,
-    /// Reusable one-tick generator buffer (batched dataflow).
+    /// Reusable one-tick generator buffer.
     tick_buf: Vec<Tuple>,
-    /// Reusable per-engine routed batches (batched dataflow).
+    /// Reusable per-engine routed batches.
     engine_batches: Vec<TupleBatch>,
     /// Scheduled membership changes, sorted by time; `next_scale`
     /// indexes the first not-yet-applied one.
@@ -495,16 +476,11 @@ impl SimDriver {
         if cfg.faults.is_active() {
             gc.set_retry_policy(RetryPolicy::default());
         }
-        let collect = cfg.collect_results.then(CollectingSink::new);
         Ok(SimDriver {
             stats_timer: PeriodicTimer::new(cfg.stats_interval, VirtualTime::ZERO),
             sample_timer: PeriodicTimer::new(cfg.sample_interval, VirtualTime::ZERO),
             recorder: Recorder::new(),
-            sink: SimSink {
-                count: 0,
-                collect,
-                count_first: cfg.count_first,
-            },
+            sink: SimSink::new(cfg.collect_results),
             in_flight: Vec::new(),
             pending: Vec::new(),
             relocations: Vec::new(),
@@ -556,31 +532,11 @@ impl SimDriver {
         &self.gc
     }
 
-    /// Run until the virtual deadline.
+    /// Run until the virtual deadline: per generator tick, react to the
+    /// clock, route the tick's tuples into per-engine batches (one
+    /// reused tick buffer), and hand each engine its batch in one
+    /// `process_batch` call.
     pub fn run_until(&mut self, deadline: VirtualTime) -> Result<()> {
-        if self.cfg.batch {
-            return self.run_until_batched(deadline);
-        }
-        while self.gen.now() < deadline {
-            let batch = self.gen.generate_ticks(1);
-            self.now = batch.first().map(Tuple::ts).unwrap_or(self.now);
-            self.on_clock()?;
-            for tuple in batch {
-                self.route_and_process(tuple)?;
-            }
-        }
-        self.now = deadline;
-        self.on_clock()?;
-        Ok(())
-    }
-
-    /// Batched variant of [`SimDriver::run_until`]: one reused tick
-    /// buffer, tuples routed into per-engine batches, one
-    /// `process_batch` call per engine per tick. Bit-identical results:
-    /// the clock/pulse ordering is unchanged, engines are independent of
-    /// each other, and within one engine the batch preserves arrival
-    /// order per partition.
-    fn run_until_batched(&mut self, deadline: VirtualTime) -> Result<()> {
         while self.gen.now() < deadline {
             let mut tick = std::mem::take(&mut self.tick_buf);
             self.now = self.gen.tick_batch(&mut tick);
@@ -657,21 +613,6 @@ impl SimDriver {
             }
         }
         Ok(())
-    }
-
-    fn route_and_process(&mut self, tuple: Tuple) -> Result<()> {
-        let pid = self.split.classify(&tuple)?;
-        self.journal.add_tuples_routed(1);
-        match self.placement.route(pid, tuple)? {
-            Route::Buffered => {
-                self.journal.add_buffered_in_flight(1);
-                Ok(())
-            }
-            Route::Deliver(engine, tuple) => {
-                self.engines[engine.index()].process(pid, tuple, &mut self.sink)?;
-                Ok(())
-            }
-        }
     }
 
     /// Apply scheduled membership changes whose time has come.
@@ -758,12 +699,9 @@ impl SimDriver {
         if !parts.is_empty() {
             self.placement.pause(&parts)?;
             let released = self.placement.remap_and_release(&parts, receiver)?;
-            for (pid, tuples) in released {
-                for tuple in tuples {
-                    self.journal.sub_buffered_in_flight(1);
-                    self.journal.add_replayed_in_order(1);
-                    self.engines[receiver.index()].process(pid, tuple, &mut self.sink)?;
-                }
+            let replay = replay_batch(released, &self.journal);
+            if !replay.is_empty() {
+                self.engines[receiver.index()].process_batch(replay, &mut self.sink)?;
             }
         }
         self.gc.drain_finalized(engine, parts.len(), self.now);
@@ -1130,10 +1068,7 @@ impl SimDriver {
             // Wire volume: what the transfer costs in encoded form
             // (the column-block codec typically shrinks this well
             // below the accounted state bytes).
-            let encoded: u64 = groups
-                .iter()
-                .map(|(g, _, _)| g.encode_with(self.cfg.engine.spill_codec).len() as u64)
-                .sum();
+            let encoded: u64 = groups.iter().map(|(g, _, _)| g.encode().len() as u64).sum();
             self.journal.add_transfer_bytes(encoded);
         }
         // Step 5: the state transfer itself, over modeled network time
@@ -1304,33 +1239,13 @@ impl SimDriver {
         bytes: u64,
     ) -> Result<()> {
         // Step 7: remap and flush buffered tuples to the new owner.
-        // `remap_and_release` yields per-pid lists in arrival order, so
-        // the batched flush is a stable reordering by pid — identical
-        // results to the per-tuple flush.
         let released = self.placement.remap_and_release(&parts, receiver)?;
-        let mut buffered = 0usize;
-        if self.cfg.batch {
-            let mut flush = TupleBatch::new();
-            for (pid, tuples) in released {
-                buffered += tuples.len();
-                for tuple in tuples {
-                    flush.push(pid, tuple);
-                }
-            }
-            if !flush.is_empty() {
-                self.engines[receiver.index()].process_batch(flush, &mut self.sink)?;
-            }
-        } else {
-            for (pid, tuples) in released {
-                buffered += tuples.len();
-                for tuple in tuples {
-                    self.engines[receiver.index()].process(pid, tuple, &mut self.sink)?;
-                }
-            }
+        let replay = replay_batch(released, &self.journal);
+        let buffered = replay.len();
+        if !replay.is_empty() {
+            self.engines[receiver.index()].process_batch(replay, &mut self.sink)?;
         }
         self.record_step(round, 7, sender, receiver, &parts, 0, buffered as u64);
-        self.journal.sub_buffered_in_flight(buffered as u64);
-        self.journal.add_replayed_in_order(buffered as u64);
         self.journal
             .add_watermark_held_ms(self.now.as_millis().saturating_sub(held_since.as_millis()));
         // Step 8: resume; the round commits on both ends (the sender
@@ -1377,28 +1292,10 @@ impl SimDriver {
         self.warn("round_unwound", sender, round, reinstalled as u64);
         if !parts.is_empty() {
             let released = self.placement.release_paused(parts)?;
-            let mut buffered = 0usize;
-            if self.cfg.batch {
-                let mut flush = TupleBatch::new();
-                for (pid, tuples) in released {
-                    buffered += tuples.len();
-                    for tuple in tuples {
-                        flush.push(pid, tuple);
-                    }
-                }
-                if !flush.is_empty() {
-                    self.engines[sender.index()].process_batch(flush, &mut self.sink)?;
-                }
-            } else {
-                for (pid, tuples) in released {
-                    buffered += tuples.len();
-                    for tuple in tuples {
-                        self.engines[sender.index()].process(pid, tuple, &mut self.sink)?;
-                    }
-                }
+            let replay = replay_batch(released, &self.journal);
+            if !replay.is_empty() {
+                self.engines[sender.index()].process_batch(replay, &mut self.sink)?;
             }
-            self.journal.sub_buffered_in_flight(buffered as u64);
-            self.journal.add_replayed_in_order(buffered as u64);
             if let Some(held) = held_since {
                 self.journal
                     .add_watermark_held_ms(self.now.as_millis().saturating_sub(held.as_millis()));
@@ -1512,11 +1409,7 @@ impl SimDriver {
         // from ALL engines plus the memory-resident group from the
         // current owner, and merge. Costs are attributed to the owner
         // engine (work is executed where the partition lives).
-        let mut cleanup_sink = SimSink {
-            count: 0,
-            collect: self.cfg.collect_results.then(CollectingSink::new),
-            count_first: self.cfg.count_first,
-        };
+        let mut cleanup_sink = SimSink::new(self.cfg.collect_results);
         let cost_model = self.cfg.engine.cost;
         let mut cost_ms = vec![0u64; self.engines.len()];
         let join_columns = self.cfg.engine.join.join_columns.clone();

@@ -43,7 +43,7 @@ use dcape_engine::state::productivity::ProductivityEstimator;
 use dcape_engine::stats::EngineStatsReport;
 use dcape_metrics::journal::{AdaptEvent, CountersSnapshot, JournalEntry, SpillTrigger};
 use dcape_storage::codec::{decode_tuple, encode_tuple, get_varint, put_varint};
-use dcape_storage::{DiskModel, SegmentCodec, SpilledGroup};
+use dcape_storage::{DiskModel, SpilledGroup};
 
 use crate::faults::FaultConfig;
 use crate::messages::{FromEngine, GroupTransfer, ToEngine};
@@ -61,8 +61,8 @@ pub const MAX_FRAME_LEN: u32 = 1 << 30;
 /// fails the run on anything else but a clean exit.
 pub const CRASH_EXIT: i32 = 86;
 
-// Frame kind tags. Coordinator → worker (sequenced):
-const K_DATA: u8 = 0x01;
+// Frame kind tags (0x01 is unassigned). Coordinator → worker
+// (sequenced):
 const K_DATA_BATCH: u8 = 0x02;
 const K_CPTV: u8 = 0x03;
 const K_SEND_STATES: u8 = 0x04;
@@ -115,8 +115,6 @@ pub struct Welcome {
     pub config: EngineConfig,
     /// Whether to keep an adaptation-event journal.
     pub journal: bool,
-    /// Whether results are counted span-wise (count-first sink).
-    pub count_first: bool,
     /// Seed of the deterministic fault plan.
     pub fault_seed: u64,
     /// Rates of the deterministic fault plan.
@@ -691,10 +689,6 @@ fn put_engine_config(buf: &mut Vec<u8>, c: &EngineConfig) {
         StateLayout::Row => 0,
         StateLayout::Columnar => 1,
     });
-    buf.push(match c.spill_codec {
-        SegmentCodec::Rows => 0,
-        SegmentCodec::Columns => 1,
-    });
 }
 
 fn get_engine_config(buf: &mut &[u8]) -> Result<EngineConfig> {
@@ -746,11 +740,6 @@ fn get_engine_config(buf: &mut &[u8]) -> Result<EngineConfig> {
         1 => StateLayout::Columnar,
         t => return Err(DcapeError::codec(format!("wire: bad state layout {t}"))),
     };
-    let spill_codec = match get_u8(buf)? {
-        0 => SegmentCodec::Rows,
-        1 => SegmentCodec::Columns,
-        t => return Err(DcapeError::codec(format!("wire: bad spill codec {t}"))),
-    };
     Ok(EngineConfig {
         join: MJoinConfig {
             num_streams,
@@ -766,7 +755,6 @@ fn get_engine_config(buf: &mut &[u8]) -> Result<EngineConfig> {
         cost,
         estimator,
         reactivate_watermark,
-        spill_codec,
     })
 }
 
@@ -797,11 +785,6 @@ fn get_fault_config(buf: &mut &[u8]) -> Result<FaultConfig> {
 
 fn put_to_engine(buf: &mut Vec<u8>, msg: &ToEngine) {
     match msg {
-        ToEngine::Data { pid, tuple } => {
-            buf.push(K_DATA);
-            put_pid(buf, *pid);
-            put_tuple(buf, tuple);
-        }
         ToEngine::DataBatch { tuples } => {
             buf.push(K_DATA_BATCH);
             put_varint(buf, tuples.len() as u64);
@@ -897,10 +880,6 @@ fn put_to_engine(buf: &mut Vec<u8>, msg: &ToEngine) {
 
 fn get_to_engine(kind: u8, buf: &mut &[u8]) -> Result<ToEngine> {
     Ok(match kind {
-        K_DATA => ToEngine::Data {
-            pid: get_pid(buf)?,
-            tuple: get_tuple(buf)?,
-        },
         K_DATA_BATCH => {
             let n = get_count(buf, "batch tuple")?;
             let mut items = Vec::with_capacity(n);
@@ -1103,7 +1082,6 @@ pub fn encode_msg(msg: &WireMsg, buf: &mut Vec<u8>) {
             put_varint(buf, w.num_engines as u64);
             put_engine_config(buf, &w.config);
             put_bool(buf, w.journal);
-            put_bool(buf, w.count_first);
             buf.extend_from_slice(&w.fault_seed.to_le_bytes());
             put_fault_config(buf, &w.faults);
             put_varint(buf, w.replay_until);
@@ -1120,7 +1098,7 @@ pub fn encode_msg(msg: &WireMsg, buf: &mut Vec<u8>) {
 pub fn decode_msg(buf: &mut &[u8]) -> Result<WireMsg> {
     let kind = get_u8(buf)?;
     Ok(match kind {
-        K_DATA..=K_FENCE_NOTICE => WireMsg::Engine(get_to_engine(kind, buf)?),
+        K_DATA_BATCH..=K_FENCE_NOTICE => WireMsg::Engine(get_to_engine(kind, buf)?),
         K_PTV..=K_JOIN_READY => WireMsg::Coord(get_from_engine(kind, buf)?),
         K_HELLO => WireMsg::Hello(Hello {
             engine: get_engine(buf)?,
@@ -1132,7 +1110,6 @@ pub fn decode_msg(buf: &mut &[u8]) -> Result<WireMsg> {
                 .map_err(|_| DcapeError::codec("wire: engine count out of range"))?;
             let config = get_engine_config(buf)?;
             let journal = get_bool(buf)?;
-            let count_first = get_bool(buf)?;
             if buf.len() < 8 {
                 return Err(DcapeError::codec("wire: unexpected end of input"));
             }
@@ -1147,7 +1124,6 @@ pub fn decode_msg(buf: &mut &[u8]) -> Result<WireMsg> {
                 num_engines,
                 config,
                 journal,
-                count_first,
                 fault_seed,
                 faults,
                 replay_until,
@@ -1156,7 +1132,7 @@ pub fn decode_msg(buf: &mut &[u8]) -> Result<WireMsg> {
         K_RELAY => {
             let to = get_engine(buf)?;
             let inner_kind = get_u8(buf)?;
-            if !(K_DATA..=K_FENCE_NOTICE).contains(&inner_kind) {
+            if !(K_DATA_BATCH..=K_FENCE_NOTICE).contains(&inner_kind) {
                 return Err(DcapeError::codec(format!(
                     "wire: bad relayed kind {inner_kind:#x}"
                 )));
@@ -1245,7 +1221,6 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(u64, WireMsg)>> {
 pub fn msg_kind_name(msg: &WireMsg) -> &'static str {
     match msg {
         WireMsg::Engine(m) => match m {
-            ToEngine::Data { .. } => "data",
             ToEngine::DataBatch { .. } => "data_batch",
             ToEngine::Cptv { .. } => "cptv",
             ToEngine::SendStates { .. } => "send_states",
@@ -1314,10 +1289,6 @@ mod tests {
         batch.push(PartitionId(1), tuple(0, 1));
         batch.push(PartitionId(2), tuple(1, 2));
         vec![
-            ToEngine::Data {
-                pid: PartitionId(3),
-                tuple: tuple(2, 9),
-            },
             ToEngine::DataBatch { tuples: batch },
             ToEngine::Cptv {
                 round: 5,
@@ -1627,7 +1598,6 @@ mod tests {
                 .with_estimator(ProductivityEstimator::Decaying { alpha: 0.5 })
                 .with_reactivation(0.25),
             journal: true,
-            count_first: false,
             fault_seed: 0xDEAD_BEEF,
             faults: FaultConfig::uniform(0.2),
             replay_until: 417,

@@ -4,17 +4,17 @@
 //! Every test runs the same workload twice — once fault-free, once with
 //! the seeded chaos layer dropping / duplicating / delaying / garbling
 //! protocol messages and crash-restarting engines mid-install — and
-//! asserts the windowed join totals (and, where collected, the result
-//! multisets) are identical, on both the simulated and the threaded
-//! runtime. Journal invariants tie the books together: every injected
-//! fault is journaled and counted, retries and aborts are accounted,
-//! and no tuple is left buffered at shutdown.
+//! asserts both runs produce exactly the oracle's join total (and,
+//! where collected, its result multiset), on both the simulated and the
+//! threaded runtime. Most workloads are unwindowed; the windowed
+//! relocation case checks sliding-window semantics under chaos too.
+//! Journal invariants tie the books together: every injected fault is
+//! journaled and counted, retries and aborts are accounted, and no
+//! tuple is left buffered at shutdown.
 //!
 //! The seed sweep honours `DCAPE_CHAOS_SEED` (CI sets it from a fixed
 //! 8-seed matrix plus one randomized seed); without it a built-in
 //! 3-seed list keeps local runs fast.
-
-use std::collections::HashMap;
 
 use dcape_cluster::faults::{FaultConfig, FaultPlan};
 use dcape_cluster::runtime::sim::{SimConfig, SimDriver, SimReport};
@@ -25,7 +25,8 @@ use dcape_common::ids::PartitionId;
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_engine::config::EngineConfig;
 use dcape_metrics::journal::AdaptEvent;
-use dcape_streamgen::{ArrivalPattern, StreamSetGenerator, StreamSetSpec};
+use dcape_streamgen::oracle::{self, ResultDigest};
+use dcape_streamgen::{ArrivalPattern, StreamSetSpec};
 
 /// Seeds to sweep: the CI matrix passes one per job via
 /// `DCAPE_CHAOS_SEED`; locally a fixed short list.
@@ -39,25 +40,16 @@ fn seeds() -> Vec<u64> {
     }
 }
 
-/// Reference join count for a spec consumed up to `deadline`.
-fn reference_result_count(spec: &StreamSetSpec, deadline: VirtualTime) -> u64 {
-    let mut gen = StreamSetGenerator::new(spec.clone()).unwrap();
-    let tuples = gen.generate_until(deadline);
-    let mut counts: HashMap<(u8, i64), u64> = HashMap::new();
-    for t in &tuples {
-        let key = t.values()[0].as_int().unwrap();
-        *counts.entry((t.stream().0, key)).or_default() += 1;
-    }
-    let keys: std::collections::HashSet<i64> = counts.keys().map(|(_, k)| *k).collect();
-    let mut total = 0u64;
-    for key in keys {
-        let mut product = 1u64;
-        for s in 0..spec.num_streams as u8 {
-            product *= counts.get(&(s, key)).copied().unwrap_or(0);
-        }
-        total += product;
-    }
-    total
+/// The oracle's join total for a run of `cfg` up to `deadline`.
+fn oracle_total(cfg: &SimConfig, deadline: VirtualTime) -> u64 {
+    oracle::expected(&cfg.workload, cfg.engine.join.window, deadline).results
+}
+
+/// Digest of everything a collecting sim run emitted, both phases.
+fn collected_digest(report: &SimReport) -> ResultDigest {
+    let runtime = report.runtime_results.as_ref().unwrap().results();
+    let cleanup = report.cleanup_results.as_ref().unwrap().results();
+    ResultDigest::of_results(runtime.iter().chain(cleanup))
 }
 
 /// Alternating skew on roomy engines: a relocation-heavy, spill-free
@@ -90,6 +82,15 @@ fn relocation_cfg(spec: StreamSetSpec, engines: usize) -> SimConfig {
     ]))
     .with_stats_interval(VirtualDuration::from_secs(30))
     .with_journal()
+}
+
+/// [`relocation_cfg`] under a 45 s sliding window: relocations move
+/// windowed state, and the tuples buffered during a round must still
+/// find their in-window partners when they replay.
+fn windowed_relocation_cfg(spec: StreamSetSpec, engines: usize) -> SimConfig {
+    let mut cfg = relocation_cfg(spec, engines);
+    cfg.engine.join = cfg.engine.join.with_window(VirtualDuration::from_secs(45));
+    cfg
 }
 
 /// Tight memory on a skewed cluster: spills, relocations, and a real
@@ -198,7 +199,7 @@ fn assert_chaos_invariants(
 fn sim_relocation_totals_survive_chaos() {
     let deadline = VirtualTime::from_mins(6);
     let spec = relocation_workload(23);
-    let reference = reference_result_count(&spec, deadline);
+    let reference = oracle_total(&relocation_cfg(spec.clone(), 2), deadline);
 
     let baseline = run_sim(
         relocation_cfg(spec.clone(), 2),
@@ -223,7 +224,7 @@ fn sim_relocation_totals_survive_chaos() {
             assert_eq!(
                 report.total_output(),
                 reference,
-                "seed {seed} rate {rate}: chaos changed the windowed total"
+                "seed {seed} rate {rate}: chaos changed the join total"
             );
             assert_chaos_invariants(&report.journal, &report.journal_counters);
         }
@@ -234,7 +235,10 @@ fn sim_relocation_totals_survive_chaos() {
 fn sim_spill_cleanup_multisets_survive_chaos() {
     let deadline = VirtualTime::from_mins(5);
     let spec = relocation_workload(55).with_pattern(ArrivalPattern::Uniform);
-    let reference = reference_result_count(&spec, deadline);
+    let cfg = mixed_cfg(spec.clone(), 3);
+    let (expected, digest) =
+        oracle::expected_digest(&cfg.workload, cfg.engine.join.window, deadline);
+    let reference = expected.results;
 
     let baseline = run_sim(
         mixed_cfg(spec.clone(), 3).collecting(),
@@ -246,6 +250,11 @@ fn sim_spill_cleanup_multisets_survive_chaos() {
         "the fault-free run must spill for the cleanup oracle to bite"
     );
     assert_eq!(baseline.total_output(), reference);
+    assert_eq!(
+        collected_digest(&baseline),
+        digest,
+        "baseline multiset vs oracle"
+    );
     let mut baseline_ids = baseline.runtime_results.as_ref().unwrap().identities();
     baseline_ids.extend(baseline.cleanup_results.as_ref().unwrap().identities());
     baseline_ids.sort();
@@ -267,6 +276,11 @@ fn sim_spill_cleanup_multisets_survive_chaos() {
         assert_eq!(
             ids, baseline_ids,
             "seed {seed}: chaos changed the result multiset"
+        );
+        assert_eq!(
+            collected_digest(&report),
+            digest,
+            "seed {seed}: multiset vs oracle"
         );
         assert_chaos_invariants(&report.journal, &report.journal_counters);
     }
@@ -329,7 +343,7 @@ fn different_seeds_give_different_schedules() {
 fn threaded_totals_survive_chaos() {
     let deadline = VirtualTime::from_mins(5);
     let spec = relocation_workload(77);
-    let reference = reference_result_count(&spec, deadline);
+    let reference = oracle_total(&relocation_cfg(spec.clone(), 2), deadline);
 
     let baseline = run_threaded(relocation_cfg(spec.clone(), 2), deadline).unwrap();
     assert!(baseline.relocations > 0, "baseline must relocate");
@@ -352,7 +366,7 @@ fn threaded_totals_survive_chaos() {
 fn threaded_spill_cleanup_survives_chaos() {
     let deadline = VirtualTime::from_mins(5);
     let spec = relocation_workload(91).with_pattern(ArrivalPattern::Uniform);
-    let reference = reference_result_count(&spec, deadline);
+    let reference = oracle_total(&mixed_cfg(spec.clone(), 3), deadline);
 
     let baseline = run_threaded(mixed_cfg(spec.clone(), 3), deadline).unwrap();
     assert!(baseline.spill_counts.iter().sum::<u64>() > 0);
@@ -363,4 +377,56 @@ fn threaded_spill_cleanup_survives_chaos() {
     let report = run_threaded(mixed_cfg(spec, 3).with_faults(plan), deadline).unwrap();
     assert_eq!(report.total_output(), reference, "seed {seed}");
     assert_chaos_invariants(&report.journal, &report.journal_counters);
+}
+
+#[test]
+fn windowed_relocation_totals_survive_chaos() {
+    let deadline = VirtualTime::from_mins(6);
+    let spec = relocation_workload(31);
+    let reference = oracle_total(&windowed_relocation_cfg(spec.clone(), 2), deadline);
+
+    let baseline = run_sim(
+        windowed_relocation_cfg(spec.clone(), 2),
+        deadline,
+        "sim-windowed-baseline",
+    );
+    assert!(
+        !baseline.relocations.is_empty(),
+        "the fault-free windowed run must relocate for this case to bite"
+    );
+    assert_eq!(baseline.total_output(), reference, "sim windowed baseline");
+    let threaded = run_threaded(windowed_relocation_cfg(spec.clone(), 2), deadline).unwrap();
+    assert!(threaded.relocations > 0, "threaded baseline must relocate");
+    assert_eq!(
+        threaded.total_output(),
+        reference,
+        "threaded windowed baseline"
+    );
+
+    for seed in seeds() {
+        let plan = FaultPlan::new(seed, FaultConfig::uniform(0.3));
+        let report = run_sim(
+            windowed_relocation_cfg(spec.clone(), 2).with_faults(plan),
+            deadline,
+            &format!("sim-windowed-seed{seed}"),
+        );
+        assert_eq!(
+            report.total_output(),
+            reference,
+            "seed {seed}: chaos changed the sim's windowed total"
+        );
+        assert_chaos_invariants(&report.journal, &report.journal_counters);
+
+        let report = run_threaded(
+            windowed_relocation_cfg(spec.clone(), 2).with_faults(plan),
+            deadline,
+        )
+        .unwrap_or_else(|e| panic!("seed {seed}: threaded windowed chaos run failed: {e}"));
+        assert_eq!(
+            report.total_output(),
+            reference,
+            "seed {seed}: chaos changed the threaded windowed total"
+        );
+        assert_chaos_invariants(&report.journal, &report.journal_counters);
+    }
 }

@@ -1,14 +1,12 @@
-//! Property-based equivalence of the columnar and row state layouts,
-//! and of the two spill codecs.
+//! Property-based equivalence of the columnar and row state layouts.
 //!
-//! The struct-of-arrays partition-group layout and the column-block
-//! spill codec are pure performance transforms: for any workload —
-//! windowed or not, skewed or not, with real blob payloads, spills,
-//! relocations, and chaos faults — they must produce the same result
-//! multiset, the same per-group `P_output`, the same adaptation
-//! history, and the same journal byte-volume totals as the row layout
-//! with the verbatim row codec, on both the simulated and the threaded
-//! runtime.
+//! The struct-of-arrays partition-group layout is a pure performance
+//! transform: for any workload — windowed or not, skewed or not, with
+//! real blob payloads, spills, relocations, and chaos faults — it must
+//! produce the same per-group `P_output`, the same adaptation history,
+//! and the same journal byte-volume totals as the row layout, and both
+//! layouts must produce exactly the oracle's result multiset, on both
+//! the simulated and the threaded runtime.
 
 use proptest::prelude::*;
 
@@ -20,7 +18,7 @@ use dcape_cluster::PlacementSpec;
 use dcape_common::ids::PartitionId;
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_engine::config::{EngineConfig, StateLayout};
-use dcape_storage::SegmentCodec;
+use dcape_streamgen::oracle::{self, ResultDigest};
 use dcape_streamgen::{ArrivalPattern, StreamSetSpec};
 
 /// Proptest case count, overridable for CI stress runs (see
@@ -73,7 +71,7 @@ fn case_strategy() -> impl Strategy<Value = CaseParams> {
         )
 }
 
-fn build_config(p: &CaseParams, layout: StateLayout, codec: SegmentCodec) -> SimConfig {
+fn build_config(p: &CaseParams, layout: StateLayout) -> SimConfig {
     let mut spec = StreamSetSpec::uniform(
         p.num_partitions,
         p.tuple_range,
@@ -95,7 +93,7 @@ fn build_config(p: &CaseParams, layout: StateLayout, codec: SegmentCodec) -> Sim
     } else {
         EngineConfig::three_way(1 << 30, 1 << 29)
     };
-    engine = engine.with_layout(layout).with_spill_codec(codec);
+    engine = engine.with_layout(layout);
     if let Some(w) = p.window_ms {
         engine.join = engine.join.with_window(VirtualDuration::from_millis(w));
     }
@@ -147,17 +145,17 @@ fn run_sim(cfg: SimConfig, deadline: VirtualTime) -> (SimReport, GroupOutputs) {
     (driver.finish().unwrap(), groups)
 }
 
-/// Sorted multiset of collected result identities (`(stream, seq)`
-/// per joined part) for exact comparison.
-fn result_multiset(report: &SimReport) -> Vec<Vec<(u8, u64)>> {
-    let mut all: Vec<Vec<(u8, u64)>> = report
-        .runtime_results
-        .iter()
-        .chain(report.cleanup_results.iter())
-        .flat_map(|c| c.identities())
-        .collect();
-    all.sort_unstable();
-    all
+/// Digest of the collected result multiset, both phases.
+fn result_multiset(report: &SimReport) -> ResultDigest {
+    let runtime = report.runtime_results.as_ref().unwrap().results();
+    let cleanup = report.cleanup_results.as_ref().unwrap().results();
+    ResultDigest::of_results(runtime.iter().chain(cleanup))
+}
+
+/// The oracle's total for a case.
+fn oracle_total(p: &CaseParams, deadline: VirtualTime) -> u64 {
+    let cfg = build_config(p, StateLayout::Columnar);
+    oracle::expected(&cfg.workload, cfg.engine.join.window, deadline).results
 }
 
 proptest! {
@@ -169,23 +167,19 @@ proptest! {
     })]
 
     /// For arbitrary workloads the columnar sim run is observationally
-    /// identical to the row-layout run: same result multiset, same
-    /// per-group `P_output` and accounted bytes, same adaptation
-    /// history, same spill multiset (counts and byte volumes), and the
-    /// same journal byte-volume counters — including the encoded
-    /// spill/transfer volumes, since both layouts snapshot identical
-    /// rows in identical order.
+    /// identical to the row-layout run: same per-group `P_output` and
+    /// accounted bytes, same adaptation history, same spill multiset
+    /// (counts and byte volumes), and the same journal byte-volume
+    /// counters — including the encoded spill/transfer volumes, since
+    /// both layouts snapshot identical rows in identical order. Both
+    /// emit exactly the oracle's result multiset.
     #[test]
     fn sim_columnar_equals_row(p in case_strategy()) {
         let deadline = VirtualTime::from_mins(3);
-        let (row, row_groups) = run_sim(
-            build_config(&p, StateLayout::Row, SegmentCodec::Columns).collecting(),
-            deadline,
-        );
-        let (col, col_groups) = run_sim(
-            build_config(&p, StateLayout::Columnar, SegmentCodec::Columns).collecting(),
-            deadline,
-        );
+        let (row, row_groups) =
+            run_sim(build_config(&p, StateLayout::Row).collecting(), deadline);
+        let (col, col_groups) =
+            run_sim(build_config(&p, StateLayout::Columnar).collecting(), deadline);
 
         prop_assert_eq!(row.runtime_output, col.runtime_output);
         prop_assert_eq!(row.cleanup_output, col.cleanup_output);
@@ -193,11 +187,10 @@ proptest! {
         prop_assert_eq!(row.relocations.len(), col.relocations.len());
         prop_assert_eq!(&row.spill_counts, &col.spill_counts);
         prop_assert_eq!(row.force_spills, col.force_spills);
-        prop_assert_eq!(
-            result_multiset(&row),
-            result_multiset(&col),
-            "result multisets diverge"
-        );
+        let cfg = build_config(&p, StateLayout::Columnar);
+        let (_, digest) = oracle::expected_digest(&cfg.workload, cfg.engine.join.window, deadline);
+        prop_assert_eq!(result_multiset(&row), digest, "row multiset vs oracle");
+        prop_assert_eq!(result_multiset(&col), digest, "columnar multiset vs oracle");
 
         let r = row.journal_counters;
         let c = col.journal_counters;
@@ -210,42 +203,6 @@ proptest! {
         prop_assert_eq!(r.buffered_in_flight, 0);
         prop_assert_eq!(c.buffered_in_flight, 0);
     }
-
-    /// The spill codec is invisible to results: the verbatim row codec
-    /// and the column-block codec agree on every output and on the
-    /// accounted (pre-encoding) byte counters; only the encoded volume
-    /// differs, and with real low-cardinality payloads the column
-    /// blocks never write more than the row codec.
-    #[test]
-    fn sim_codec_choice_only_changes_encoded_bytes(p in case_strategy()) {
-        // Force the spill-heavy regime so the codecs actually run.
-        let p = CaseParams { tight_memory: true, payload_blob: p.payload_blob.max(64), ..p };
-        let deadline = VirtualTime::from_mins(2);
-        let (rows, rows_groups) = run_sim(
-            build_config(&p, StateLayout::Columnar, SegmentCodec::Rows),
-            deadline,
-        );
-        let (cols, cols_groups) = run_sim(
-            build_config(&p, StateLayout::Columnar, SegmentCodec::Columns),
-            deadline,
-        );
-
-        prop_assert_eq!(rows.runtime_output, cols.runtime_output);
-        prop_assert_eq!(rows.cleanup_output, cols.cleanup_output);
-        prop_assert_eq!(rows_groups, cols_groups, "per-group stats diverge across codecs");
-        let r = rows.journal_counters;
-        let c = cols.journal_counters;
-        prop_assert_eq!(r.spill_bytes, c.spill_bytes, "accounted volume must not depend on codec");
-        if r.spill_bytes_written > 0 {
-            prop_assert!(c.spill_bytes_written > 0, "columns arm must spill too");
-            prop_assert!(
-                c.spill_bytes_written <= r.spill_bytes_written,
-                "column blocks wrote more than verbatim rows: {} > {}",
-                c.spill_bytes_written,
-                r.spill_bytes_written
-            );
-        }
-    }
 }
 
 proptest! {
@@ -257,24 +214,17 @@ proptest! {
     })]
 
     /// Threaded runtime: adaptation timing is scheduler-dependent but
-    /// totals are not — the columnar and row layouts must produce
-    /// exactly the same total output as each other and as the
-    /// deterministic sim.
+    /// totals are not — the columnar and row layouts must both produce
+    /// exactly the oracle's total, which the deterministic sim matches.
     #[test]
     fn threaded_columnar_preserves_totals(p in case_strategy()) {
         let deadline = VirtualTime::from_mins(3);
-        let row = run_threaded(
-            build_config(&p, StateLayout::Row, SegmentCodec::Columns),
-            deadline,
-        )
-        .unwrap();
-        let col = run_threaded(
-            build_config(&p, StateLayout::Columnar, SegmentCodec::Columns),
-            deadline,
-        )
-        .unwrap();
+        let row = run_threaded(build_config(&p, StateLayout::Row), deadline).unwrap();
+        let col = run_threaded(build_config(&p, StateLayout::Columnar), deadline).unwrap();
 
-        prop_assert_eq!(row.total_output(), col.total_output());
+        let expected = oracle_total(&p, deadline);
+        prop_assert_eq!(row.total_output(), expected);
+        prop_assert_eq!(col.total_output(), expected);
         prop_assert_eq!(
             row.journal_counters.tuples_routed,
             col.journal_counters.tuples_routed
@@ -282,18 +232,15 @@ proptest! {
         prop_assert_eq!(row.journal_counters.buffered_in_flight, 0);
         prop_assert_eq!(col.journal_counters.buffered_in_flight, 0);
 
-        let (sim, _) = run_sim(
-            build_config(&p, StateLayout::Columnar, SegmentCodec::Columns),
-            deadline,
-        );
-        prop_assert_eq!(col.total_output(), sim.total_output());
+        let (sim, _) = run_sim(build_config(&p, StateLayout::Columnar), deadline);
+        prop_assert_eq!(sim.total_output(), expected);
     }
 
     /// Chaos seeds: with deterministic faults active on the relocation
     /// protocol (drops, duplicates, delays, corrupt lengths), both
     /// layouts ride the same fault schedule in the deterministic sim
-    /// and must still agree exactly — on results and on the fault
-    /// bookkeeping itself.
+    /// and must still agree exactly — on results, which are the
+    /// oracle's, and on the fault bookkeeping itself.
     #[test]
     fn sim_columnar_equals_row_under_chaos(
         p in case_strategy(),
@@ -302,14 +249,11 @@ proptest! {
         let p = CaseParams { skewed: true, ..p };
         let deadline = VirtualTime::from_mins(2);
         let plan = || FaultPlan::new(chaos_seed, FaultConfig::uniform(0.2));
-        let (row, row_groups) = run_sim(
-            build_config(&p, StateLayout::Row, SegmentCodec::Columns).with_faults(plan()),
-            deadline,
-        );
-        let (col, col_groups) = run_sim(
-            build_config(&p, StateLayout::Columnar, SegmentCodec::Columns).with_faults(plan()),
-            deadline,
-        );
+        let (row, row_groups) =
+            run_sim(build_config(&p, StateLayout::Row).with_faults(plan()), deadline);
+        let (col, col_groups) =
+            run_sim(build_config(&p, StateLayout::Columnar).with_faults(plan()), deadline);
+        prop_assert_eq!(col.total_output(), oracle_total(&p, deadline));
 
         prop_assert_eq!(row.runtime_output, col.runtime_output);
         prop_assert_eq!(row.cleanup_output, col.cleanup_output);

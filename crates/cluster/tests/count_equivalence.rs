@@ -1,21 +1,22 @@
-//! Property-based equivalence of count-first and enumerating delivery,
-//! and of the threaded runtime against the deterministic sim.
+//! Property-based exactness of the sim and threaded runtimes against the
+//! independent oracle (`dcape_streamgen::oracle`).
 //!
-//! Count-first result delivery (span-based `emit_product` with product
-//! counting and window-pruned counting) is a pure performance
-//! transform: for any workload — windowed or not, skewed or not, with
-//! spills and relocations — it must produce the same output counts,
-//! the same per-group `P_output`, the same journal counter totals, and
-//! counts that agree exactly with the collected-result multiset of the
-//! enumerating path, on both the simulated and the threaded runtime.
+//! For any workload — windowed or not, skewed or not, with spills and
+//! relocations — a counting run must produce exactly the oracle's
+//! result count and route exactly the oracle's tuples, and a collecting
+//! run must produce exactly the oracle's result multiset. Counting
+//! (span-based `emit_product`: product counting and window-pruned
+//! counting) and collecting (per-combination enumeration) must also
+//! agree with each other phase by phase, on per-group `P_output`, on
+//! the adaptation history and on the journal counter totals.
 //!
 //! Windowed totals are asserted exactly on the threaded runtime too:
 //! window purges run at the watermark-driven horizon (`min(admitted
 //! watermark, oldest tuple still buffered at any split)`), so tuples
 //! buffered during a relocation always find their join partners alive
 //! when they replay, and every sound run — threaded or simulated, fast
-//! or slow, under any thread schedule — emits exactly the reference
-//! windowed join multiset.
+//! or slow, under any thread schedule — emits exactly the oracle's
+//! windowed join.
 
 use proptest::prelude::*;
 
@@ -26,6 +27,7 @@ use dcape_cluster::PlacementSpec;
 use dcape_common::ids::PartitionId;
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_engine::config::EngineConfig;
+use dcape_streamgen::oracle::{self, Expected, ResultDigest};
 use dcape_streamgen::{ArrivalPattern, StreamSetSpec};
 
 /// Proptest case count, overridable for CI stress runs: an explicit
@@ -144,7 +146,8 @@ fn build_config(p: &CaseParams, collect: bool) -> SimConfig {
 }
 
 /// Per-engine `(pid, bytes, P_output)` triples of every resident group —
-/// the fast paths must leave the productivity bookkeeping untouched.
+/// counting and collecting must leave the productivity bookkeeping
+/// untouched.
 type GroupOutputs = Vec<Vec<(PartitionId, usize, u64)>>;
 
 fn group_outputs(driver: &SimDriver) -> GroupOutputs {
@@ -163,63 +166,73 @@ fn group_outputs(driver: &SimDriver) -> GroupOutputs {
 
 /// Run the sim to the deadline, returning the report plus the per-group
 /// stats observed at the deadline (before cleanup).
-fn run_sim(
-    p: &CaseParams,
-    count_first: bool,
-    collect: bool,
-    deadline: VirtualTime,
-) -> (SimReport, GroupOutputs) {
-    let cfg = build_config(p, collect).with_count_first(count_first);
-    let mut driver = SimDriver::new(cfg).unwrap();
+fn run_sim(p: &CaseParams, collect: bool, deadline: VirtualTime) -> (SimReport, GroupOutputs) {
+    let mut driver = SimDriver::new(build_config(p, collect)).unwrap();
     driver.run_until(deadline).unwrap();
     let groups = group_outputs(&driver);
     (driver.finish().unwrap(), groups)
 }
 
+/// The oracle's answer for a case.
+fn expected(p: &CaseParams, deadline: VirtualTime) -> Expected {
+    let cfg = build_config(p, false);
+    oracle::expected(&cfg.workload, cfg.engine.join.window, deadline)
+}
+
+/// Digest of everything a collecting sim run emitted, both phases.
+fn collected_digest(report: &SimReport) -> ResultDigest {
+    let runtime = report.runtime_results.as_ref().unwrap().results();
+    let cleanup = report.cleanup_results.as_ref().unwrap().results();
+    ResultDigest::of_results(runtime.iter().chain(cleanup))
+}
+
 proptest! {
-    // Each case runs the full simulation three times; keep the default
-    // count small (CI stress runs raise it via PROPTEST_CASES).
+    // Each case runs the full simulation twice; keep the default count
+    // small (CI stress runs raise it via PROPTEST_CASES).
     #![proptest_config(ProptestConfig {
         cases: cases(8),
         ..ProptestConfig::default()
     })]
 
-    /// For arbitrary workloads the count-first sim run is
-    /// observationally identical to the enumerating sim run: same
-    /// per-phase counts, same per-group `P_output`, same adaptation
-    /// history, same journal counter totals — and both agree with the
-    /// collected-result multiset of the enumerating path.
+    /// For arbitrary workloads the sim is exact: the counting run's
+    /// total is the oracle's count and the collecting run's result
+    /// multiset is the oracle's. Counting and collecting runs are
+    /// otherwise observationally identical: same per-phase counts, same
+    /// per-group `P_output`, same adaptation history, same journal
+    /// counter totals.
     #[test]
-    fn sim_count_first_equals_enumeration(p in case_strategy()) {
+    fn sim_matches_oracle(p in case_strategy()) {
         let deadline = VirtualTime::from_mins(3);
-        let (fast, fast_groups) = run_sim(&p, true, false, deadline);
-        let (slow, slow_groups) = run_sim(&p, false, false, deadline);
-        let (collected, _) = run_sim(&p, false, true, deadline);
+        let (counted, counted_groups) = run_sim(&p, false, deadline);
+        let (collected, collected_groups) = run_sim(&p, true, deadline);
+        let cfg = build_config(&p, false);
+        let (expected, digest) =
+            oracle::expected_digest(&cfg.workload, cfg.engine.join.window, deadline);
 
-        prop_assert_eq!(fast.runtime_output, slow.runtime_output);
-        prop_assert_eq!(fast.cleanup_output, slow.cleanup_output);
-        prop_assert_eq!(fast_groups, slow_groups, "per-group P_output diverges");
-        prop_assert_eq!(fast.relocations.len(), slow.relocations.len());
-        prop_assert_eq!(&fast.spill_counts, &slow.spill_counts);
-        prop_assert_eq!(fast.force_spills, slow.force_spills);
+        prop_assert_eq!(counted.total_output(), expected.results, "count vs oracle");
+        prop_assert_eq!(collected_digest(&collected), digest, "multiset vs oracle");
 
-        // The counts must equal the materialized result multiset sizes
-        // of the enumerating path, phase by phase.
         prop_assert_eq!(
-            fast.runtime_output,
+            counted.runtime_output,
             collected.runtime_results.as_ref().unwrap().len() as u64,
             "runtime count vs collected multiset"
         );
         prop_assert_eq!(
-            fast.cleanup_output,
+            counted.cleanup_output,
             collected.cleanup_results.as_ref().unwrap().len() as u64,
             "cleanup count vs collected multiset"
         );
+        prop_assert_eq!(counted_groups, collected_groups, "per-group P_output diverges");
+        prop_assert_eq!(counted.relocations.len(), collected.relocations.len());
+        prop_assert_eq!(&counted.spill_counts, &collected.spill_counts);
+        prop_assert_eq!(counted.force_spills, collected.force_spills);
 
-        // Journal counter totals must match exactly.
-        let f = fast.journal_counters;
-        let s = slow.journal_counters;
-        prop_assert_eq!(f.tuples_routed, s.tuples_routed);
+        // Journal counter totals must match exactly; the in-flight
+        // gauge must drain to zero.
+        let f = counted.journal_counters;
+        let s = collected.journal_counters;
+        prop_assert_eq!(f.tuples_routed, expected.tuples);
+        prop_assert_eq!(s.tuples_routed, expected.tuples);
         prop_assert_eq!(f.spill_bytes, s.spill_bytes);
         prop_assert_eq!(f.relocation_bytes, s.relocation_bytes);
         prop_assert_eq!(f.buffered_in_flight, 0);
@@ -236,39 +249,30 @@ proptest! {
     })]
 
     /// Threaded runtime: adaptation *timing* is scheduler-dependent,
-    /// but totals are not — windowed or unwindowed, the count-first
-    /// and enumerating sink arms and the deterministic sim must all
-    /// produce exactly the same total output. Watermark-driven purging
-    /// is what makes the windowed half of this claim hold: the purge
-    /// horizon is tied to data progress, so no thread schedule can
-    /// purge the partners of a tuple buffered during a relocation.
+    /// but totals are not — windowed or unwindowed, the threaded total
+    /// must equal the oracle's count and the deterministic sim's.
+    /// Watermark-driven purging is what makes the windowed half of
+    /// this claim hold: the purge horizon is tied to data progress, so
+    /// no thread schedule can purge the partners of a tuple buffered
+    /// during a relocation.
     #[test]
-    fn threaded_count_first_preserves_totals(p in case_strategy()) {
+    fn threaded_totals_match_oracle(p in case_strategy()) {
         let deadline = VirtualTime::from_mins(3);
-        let fast =
-            run_threaded(build_config(&p, false).with_count_first(true), deadline).unwrap();
-        let slow =
-            run_threaded(build_config(&p, false).with_count_first(false), deadline).unwrap();
+        let threaded = run_threaded(build_config(&p, false), deadline).unwrap();
+        dump_journal("threaded_totals_match_oracle", &threaded.journal);
 
-        dump_journal("threaded_count_first_preserves_totals.fast", &fast.journal);
-        dump_journal("threaded_count_first_preserves_totals.slow", &slow.journal);
-        prop_assert_eq!(fast.total_output(), slow.total_output());
-        prop_assert_eq!(
-            fast.journal_counters.tuples_routed,
-            slow.journal_counters.tuples_routed
-        );
-        prop_assert_eq!(fast.journal_counters.buffered_in_flight, 0);
-        prop_assert_eq!(slow.journal_counters.buffered_in_flight, 0);
+        let expected = expected(&p, deadline);
+        prop_assert_eq!(threaded.total_output(), expected.results);
+        prop_assert_eq!(threaded.journal_counters.tuples_routed, expected.tuples);
+        prop_assert_eq!(threaded.journal_counters.buffered_in_flight, 0);
 
-        let (sim, _) = run_sim(&p, true, false, deadline);
-        prop_assert_eq!(fast.total_output(), sim.total_output());
+        let (sim, _) = run_sim(&p, false, deadline);
+        prop_assert_eq!(threaded.total_output(), sim.total_output());
     }
 
-    /// Windowed threaded equivalence, exact: both sink arms with a
-    /// sliding window always configured, asserted against each other,
-    /// against the deterministic sim, and against the collected result
-    /// multiset of the enumerating sim — the converted form of what
-    /// used to be a smoke-only pass.
+    /// Windowed threaded exactness: a sliding window always configured,
+    /// the threaded total asserted against the oracle and against the
+    /// deterministic sim.
     #[test]
     fn threaded_windowed_totals_are_exact(p in case_strategy()) {
         let p = CaseParams {
@@ -276,30 +280,20 @@ proptest! {
             ..p
         };
         let deadline = VirtualTime::from_mins(2);
-        let fast =
-            run_threaded(build_config(&p, false).with_count_first(true), deadline).unwrap();
-        let slow =
-            run_threaded(build_config(&p, false).with_count_first(false), deadline).unwrap();
-        dump_journal("threaded_windowed_totals_are_exact.fast", &fast.journal);
-        dump_journal("threaded_windowed_totals_are_exact.slow", &slow.journal);
+        let threaded = run_threaded(build_config(&p, false), deadline).unwrap();
+        dump_journal("threaded_windowed_totals_are_exact", &threaded.journal);
 
+        let expected = expected(&p, deadline);
+        prop_assert_eq!(threaded.journal_counters.tuples_routed, expected.tuples);
+        prop_assert_eq!(threaded.journal_counters.buffered_in_flight, 0);
         prop_assert_eq!(
-            fast.journal_counters.tuples_routed,
-            slow.journal_counters.tuples_routed
+            threaded.total_output(),
+            expected.results,
+            "threaded windowed total vs oracle"
         );
-        prop_assert_eq!(fast.journal_counters.buffered_in_flight, 0);
-        prop_assert_eq!(slow.journal_counters.buffered_in_flight, 0);
-        prop_assert_eq!(fast.total_output(), slow.total_output());
 
-        let (sim, _) = run_sim(&p, true, false, deadline);
-        let (collected, _) = run_sim(&p, false, true, deadline);
-        prop_assert_eq!(fast.total_output(), sim.total_output());
-        prop_assert_eq!(
-            fast.total_output(),
-            collected.runtime_results.as_ref().unwrap().len() as u64
-                + collected.cleanup_results.as_ref().unwrap().len() as u64,
-            "threaded windowed total vs collected multiset"
-        );
+        let (sim, _) = run_sim(&p, false, deadline);
+        prop_assert_eq!(threaded.total_output(), sim.total_output());
     }
 }
 
@@ -315,7 +309,8 @@ proptest! {
 /// schedule-dependent, disagreeing with the deterministic sim and
 /// across runs of the same workload. With the purge horizon held back
 /// to the oldest buffered tuple, four concurrent copies of the
-/// workload all produce exactly the sim's total, under every schedule.
+/// workload all produce exactly the oracle's (and the sim's) total,
+/// under every schedule.
 #[test]
 fn windowed_relocation_replay_matches_sim_exactly() {
     for seed in [500u64, 501, 502] {
@@ -331,14 +326,16 @@ fn windowed_relocation_replay_matches_sim_exactly() {
             window_ms: Some(45_000),
         };
         let deadline = VirtualTime::from_mins(2);
-        let mk = || {
-            build_config(&p, false)
-                .with_count_first(true)
-                .with_stats_interval(VirtualDuration::from_secs(5))
-        };
+        let mk = || build_config(&p, false).with_stats_interval(VirtualDuration::from_secs(5));
+        let expected = expected(&p, deadline);
         let mut sim_driver = SimDriver::new(mk()).unwrap();
         sim_driver.run_until(deadline).unwrap();
         let sim = sim_driver.finish().unwrap();
+        assert_eq!(
+            sim.total_output(),
+            expected.results,
+            "seed {seed}: sim windowed total diverged from the oracle"
+        );
         let runs: Vec<_> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
@@ -359,8 +356,8 @@ fn windowed_relocation_replay_matches_sim_exactly() {
         for (i, threaded) in runs.iter().enumerate() {
             assert_eq!(
                 threaded.total_output(),
-                sim.total_output(),
-                "seed {seed} run {i}: threaded windowed total diverged from sim"
+                expected.results,
+                "seed {seed} run {i}: threaded windowed total diverged from the oracle"
             );
             assert_eq!(threaded.journal_counters.buffered_in_flight, 0);
         }
@@ -372,7 +369,7 @@ fn windowed_relocation_replay_matches_sim_exactly() {
 /// the quiesce loop must finish the round — replaying every buffered
 /// tuple and releasing the held watermark — before cleanup starts. No
 /// tuple may remain stranded (`buffered_in_flight == 0`) and the total
-/// must still match the deterministic sim exactly.
+/// must still match the oracle and the deterministic sim exactly.
 #[test]
 fn quiesce_drains_buffer_and_releases_watermark() {
     let p = CaseParams {
@@ -394,14 +391,20 @@ fn quiesce_drains_buffer_and_releases_watermark() {
         let mut driver = SimDriver::new(build_config(&p, false)).unwrap();
         driver.run_until(deadline).unwrap();
         let sim = driver.finish().unwrap();
+        let expected = expected(&p, deadline);
         assert_eq!(
             threaded.journal_counters.buffered_in_flight, 0,
             "deadline {deadline_s}s: tuples stranded in split buffers after quiesce"
         );
         assert_eq!(
             threaded.total_output(),
+            expected.results,
+            "deadline {deadline_s}s: quiesced threaded total diverged from the oracle"
+        );
+        assert_eq!(
             sim.total_output(),
-            "deadline {deadline_s}s: quiesced threaded total diverged from sim"
+            expected.results,
+            "deadline {deadline_s}s: sim total diverged from the oracle"
         );
     }
 }

@@ -2,7 +2,7 @@
 
 use dcape_common::error::{DcapeError, Result};
 use dcape_common::time::VirtualDuration;
-use dcape_storage::{DiskModel, SegmentCodec};
+use dcape_storage::DiskModel;
 
 use crate::spill::policy::VictimPolicy;
 use crate::state::productivity::ProductivityEstimator;
@@ -135,8 +135,6 @@ pub struct EngineConfig {
     /// available"). `None` defers all cleanup to the post-run phase, as
     /// in the paper's monotonically-growing experiments.
     pub reactivate_watermark: Option<f64>,
-    /// Segment format for spill writes (decoding accepts both).
-    pub spill_codec: SegmentCodec,
 }
 
 impl EngineConfig {
@@ -153,7 +151,6 @@ impl EngineConfig {
             cost: CostModel::default(),
             estimator: ProductivityEstimator::Cumulative,
             reactivate_watermark: None,
-            spill_codec: SegmentCodec::default(),
         }
     }
 
@@ -204,12 +201,6 @@ impl EngineConfig {
     /// fraction of the spill threshold.
     pub fn with_reactivation(mut self, watermark: f64) -> Self {
         self.reactivate_watermark = Some(watermark);
-        self
-    }
-
-    /// Builder-style: set the spill segment codec.
-    pub fn with_spill_codec(mut self, codec: SegmentCodec) -> Self {
-        self.spill_codec = codec;
         self
     }
 

@@ -121,7 +121,7 @@ impl QueryEngine {
             rng: StdRng::seed_from_u64(0xE_0DD + id.0 as u64),
             id,
             join,
-            store: SpillStore::with_codec(backend, cfg.spill_codec),
+            store: SpillStore::new(backend),
             tracker,
             controller,
             cfg,

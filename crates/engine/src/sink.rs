@@ -89,7 +89,7 @@ impl ResultSink for CountingSink {
 
 /// Forces the per-combination delivery path regardless of the inner
 /// sink's fast paths: `emit_product` keeps the enumerating default.
-/// This is the benchmark baseline and the equivalence-test reference.
+/// The tests use it as the reference for [`ProbeSpans::count_valid`].
 #[derive(Debug, Default)]
 pub struct EnumeratingSink<S>(pub S);
 

@@ -25,8 +25,6 @@ fn cfg(layout: StateLayout, engines: usize) -> SimConfig {
     )
     .with_stats_interval(VirtualDuration::from_secs(30))
     .with_journal()
-    .with_batching(true)
-    .with_count_first(true)
 }
 
 #[test]

@@ -12,7 +12,6 @@
 //! deterministic ones: `events_recorded`/`events_dropped` depend on how
 //! many wall-clock stats samples each run took and are never compared.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 
 use dcape_cluster::faults::{FaultConfig, FaultPlan};
@@ -25,7 +24,7 @@ use dcape_common::ids::{EngineId, PartitionId};
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_engine::config::EngineConfig;
 use dcape_metrics::journal::AdaptEvent;
-use dcape_streamgen::{ArrivalPattern, StreamSetGenerator, StreamSetSpec};
+use dcape_streamgen::{oracle, ArrivalPattern, StreamSetSpec};
 
 /// The worker binary cargo built alongside this test.
 fn node_bin() -> PathBuf {
@@ -52,27 +51,6 @@ fn seeds() -> Vec<u64> {
             .expect("DCAPE_CHAOS_SEED must be an unsigned integer")],
         Err(_) => vec![7, 42, 0x00C0_FFEE],
     }
-}
-
-/// Reference join count for a spec consumed up to `deadline`.
-fn reference_result_count(spec: &StreamSetSpec, deadline: VirtualTime) -> u64 {
-    let mut gen = StreamSetGenerator::new(spec.clone()).unwrap();
-    let tuples = gen.generate_until(deadline);
-    let mut counts: HashMap<(u8, i64), u64> = HashMap::new();
-    for t in &tuples {
-        let key = t.values()[0].as_int().unwrap();
-        *counts.entry((t.stream().0, key)).or_default() += 1;
-    }
-    let keys: std::collections::HashSet<i64> = counts.keys().map(|(_, k)| *k).collect();
-    let mut total = 0u64;
-    for key in keys {
-        let mut product = 1u64;
-        for s in 0..spec.num_streams as u8 {
-            product *= counts.get(&(s, key)).copied().unwrap_or(0);
-        }
-        total += product;
-    }
-    total
 }
 
 /// Alternating skew on roomy engines: relocation-heavy, spill-free.
@@ -225,7 +203,7 @@ fn spill_run_is_equivalent_across_runtimes() {
     );
     assert_eq!(
         threaded.total_output(),
-        reference_result_count(&spec, deadline)
+        oracle::expected(&spec, None, deadline).results
     );
 
     let socket = run_socket(socket_cfg(spill_cfg(spec, 2)), deadline).unwrap();
@@ -243,13 +221,23 @@ fn windowed_run_is_equivalent_across_runtimes() {
         cfg
     };
 
-    let threaded = run_threaded(windowed(spec.clone()), deadline).unwrap();
+    let cfg = windowed(spec.clone());
+    let reference = oracle::expected(&spec, cfg.engine.join.window, deadline).results;
+    assert!(reference > 0, "windowed run must produce results");
+
+    let threaded = run_threaded(cfg, deadline).unwrap();
     dump_journal("socketeq-windowed-threaded", &threaded.journal);
+    assert_eq!(
+        threaded.total_output(),
+        reference,
+        "threaded windowed total vs oracle"
+    );
     let socket = run_socket(socket_cfg(windowed(spec)), deadline).unwrap();
     dump_journal("socketeq-windowed-socket", &socket.journal);
-    assert!(
-        threaded.total_output() > 0,
-        "windowed run must produce results"
+    assert_eq!(
+        socket.total_output(),
+        reference,
+        "socket windowed total vs oracle"
     );
     assert_deterministic_equivalence(&threaded, &socket, "windowed run");
 }
@@ -258,7 +246,7 @@ fn windowed_run_is_equivalent_across_runtimes() {
 fn relocation_run_matches_threaded_and_reference() {
     let deadline = VirtualTime::from_mins(5);
     let spec = relocation_workload(77);
-    let reference = reference_result_count(&spec, deadline);
+    let reference = oracle::expected(&spec, None, deadline).results;
 
     let threaded = run_threaded(relocation_cfg(spec.clone(), 2), deadline).unwrap();
     dump_journal("socketeq-reloc-threaded", &threaded.journal);
@@ -285,7 +273,7 @@ fn relocation_run_matches_threaded_and_reference() {
 fn chaos_totals_survive_real_sockets() {
     let deadline = VirtualTime::from_mins(5);
     let spec = relocation_workload(77);
-    let reference = reference_result_count(&spec, deadline);
+    let reference = oracle::expected(&spec, None, deadline).results;
 
     for seed in seeds() {
         let plan = FaultPlan::new(seed, FaultConfig::uniform(0.2));
@@ -308,7 +296,7 @@ fn chaos_totals_survive_real_sockets() {
 fn kill_nine_and_respawn_is_exactly_once() {
     let deadline = VirtualTime::from_mins(5);
     let spec = relocation_workload(42);
-    let reference = reference_result_count(&spec, deadline);
+    let reference = oracle::expected(&spec, None, deadline).results;
 
     let mut cfg = socket_cfg(relocation_cfg(spec, 2));
     cfg.kill = Some(KillPlan {
@@ -354,7 +342,7 @@ fn count_events(
 fn elastic_join_and_drain_match_threaded_and_reference() {
     let deadline = VirtualTime::from_mins(5);
     let spec = relocation_workload(13);
-    let reference = reference_result_count(&spec, deadline);
+    let reference = oracle::expected(&spec, None, deadline).results;
     let elastic = |spec: StreamSetSpec| {
         relocation_cfg(spec, 2).with_scale_events(vec![
             ScaleEvent::add(VirtualTime::from_secs(60)),
@@ -401,7 +389,7 @@ fn elastic_join_and_drain_match_threaded_and_reference() {
 fn kill_nine_mid_drain_is_exactly_once() {
     let deadline = VirtualTime::from_mins(5);
     let spec = relocation_workload(42);
-    let reference = reference_result_count(&spec, deadline);
+    let reference = oracle::expected(&spec, None, deadline).results;
 
     let mut cfg =
         socket_cfg(
@@ -474,7 +462,7 @@ fn kill_nine_mid_drain_is_exactly_once() {
 fn joiner_crash_restart_mid_admission_is_exactly_once() {
     let deadline = VirtualTime::from_mins(5);
     let spec = relocation_workload(23);
-    let reference = reference_result_count(&spec, deadline);
+    let reference = oracle::expected(&spec, None, deadline).results;
 
     let mut cfg = socket_cfg(
         relocation_cfg(spec, 2)

@@ -27,6 +27,6 @@ pub mod trace;
 
 pub use backend::{FileBackend, MemBackend, SegmentHandle, SpillBackend};
 pub use diskmodel::DiskModel;
-pub use segment::{SegmentCodec, SpilledGroup};
+pub use segment::SpilledGroup;
 pub use store::{SegmentMeta, SpillStats, SpillStore};
 pub use trace::{TraceReader, TraceWriter};

@@ -10,17 +10,14 @@
 //! The binary layout is:
 //!
 //! ```text
-//! segment := MAGIC:u32 VERSION:u8 partition:varint nstreams:varint body
-//!   VERSION 1 (rows)    body := (count:varint tuple*)^nstreams
-//!   VERSION 2 (columns) body := stream-block^nstreams
+//! segment := MAGIC:u32 VERSION:u8 partition:varint nstreams:varint stream-block^nstreams
 //! ```
 //!
-//! Version 2 is the default: each stream's tuples become one column
-//! block (delta-coded timestamps/sequence numbers, dictionary-coded
-//! low-cardinality payload columns — see [`crate::codec`]), typically a
-//! fraction of the row encoding's size. Version 1 remains readable and
-//! writable ([`SpilledGroup::encode_rows`]) as the uncompressed
-//! baseline.
+//! Each stream's tuples become one column block (delta-coded
+//! timestamps/sequence numbers, dictionary-coded low-cardinality
+//! payload columns — see [`crate::codec`]), typically a fraction of the
+//! size of the tuples encoded row by row. The version byte is 2; the
+//! retired version 1 (verbatim rows) and any other version are rejected.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -29,24 +26,10 @@ use dcape_common::ids::PartitionId;
 use dcape_common::mem::HeapSize;
 use dcape_common::tuple::Tuple;
 
-use crate::codec::{
-    decode_stream_block, decode_tuple, encode_stream_block, encode_tuple, encoded_tuple_len,
-    get_varint, put_varint, varint_len,
-};
+use crate::codec::{decode_stream_block, encode_stream_block, get_varint, put_varint};
 
 const MAGIC: u32 = 0xDCA9_E501;
-const VERSION_ROWS: u8 = 1;
-const VERSION_COLUMNS: u8 = 2;
-
-/// Which segment format spill writes use. Decoding always accepts both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SegmentCodec {
-    /// Version 1: verbatim row-by-row tuple encoding.
-    Rows,
-    /// Version 2: compressed column blocks (the default).
-    #[default]
-    Columns,
-}
+const VERSION: u8 = 2;
 
 /// One spilled partition group: per-stream tuple lists for one partition
 /// ID, exactly as they sat in memory at spill time.
@@ -87,43 +70,13 @@ impl SpilledGroup {
         self.per_stream.iter().all(Vec::is_empty)
     }
 
-    /// Exact byte length [`SpilledGroup::encode_rows`] will produce, so
-    /// the encode buffer is allocated once with no growth reallocations.
-    pub fn encoded_rows_len(&self) -> usize {
-        let mut len = 4 + 1 // magic + version
-            + varint_len(self.partition.0 as u64)
-            + varint_len(self.per_stream.len() as u64);
-        for stream_tuples in &self.per_stream {
-            len += varint_len(stream_tuples.len() as u64);
-            len += stream_tuples.iter().map(encoded_tuple_len).sum::<usize>();
-        }
-        len
-    }
-
-    /// Serialize to version-1 row-format segment bytes (the
-    /// uncompressed baseline; [`SpilledGroup::encode`] is the default).
-    pub fn encode_rows(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_rows_len());
-        buf.put_u32_le(MAGIC);
-        buf.put_u8(VERSION_ROWS);
-        put_varint(&mut buf, self.partition.0 as u64);
-        put_varint(&mut buf, self.per_stream.len() as u64);
-        for stream_tuples in &self.per_stream {
-            put_varint(&mut buf, stream_tuples.len() as u64);
-            for t in stream_tuples {
-                encode_tuple(&mut buf, t);
-            }
-        }
-        buf.freeze()
-    }
-
-    /// Serialize to version-2 column-block segment bytes.
+    /// Serialize to segment bytes.
     pub fn encode(&self) -> Bytes {
         // Compressed size is data-dependent; start from a round
         // per-tuple guess and let the buffer grow if a payload is fat.
         let mut buf = BytesMut::with_capacity(32 + self.tuple_count() * 16);
         buf.put_u32_le(MAGIC);
-        buf.put_u8(VERSION_COLUMNS);
+        buf.put_u8(VERSION);
         put_varint(&mut buf, self.partition.0 as u64);
         put_varint(&mut buf, self.per_stream.len() as u64);
         for stream_tuples in &self.per_stream {
@@ -132,15 +85,7 @@ impl SpilledGroup {
         buf.freeze()
     }
 
-    /// Serialize with an explicit segment codec.
-    pub fn encode_with(&self, codec: SegmentCodec) -> Bytes {
-        match codec {
-            SegmentCodec::Rows => self.encode_rows(),
-            SegmentCodec::Columns => self.encode(),
-        }
-    }
-
-    /// Deserialize from segment bytes (either format version).
+    /// Deserialize from segment bytes.
     pub fn decode(mut bytes: Bytes) -> Result<Self> {
         if bytes.remaining() < 5 {
             return Err(DcapeError::codec("segment: short header"));
@@ -152,7 +97,7 @@ impl SpilledGroup {
             )));
         }
         let version = bytes.get_u8();
-        if version != VERSION_ROWS && version != VERSION_COLUMNS {
+        if version != VERSION {
             return Err(DcapeError::codec(format!(
                 "segment: unsupported version {version}"
             )));
@@ -164,16 +109,7 @@ impl SpilledGroup {
         }
         let mut per_stream = Vec::with_capacity(nstreams);
         for _ in 0..nstreams {
-            if version == VERSION_ROWS {
-                let count = get_varint(&mut bytes)? as usize;
-                let mut tuples = Vec::with_capacity(count.min(1 << 20));
-                for _ in 0..count {
-                    tuples.push(decode_tuple(&mut bytes)?);
-                }
-                per_stream.push(tuples);
-            } else {
-                per_stream.push(decode_stream_block(&mut bytes)?);
-            }
+            per_stream.push(decode_stream_block(&mut bytes)?);
         }
         if bytes.has_remaining() {
             return Err(DcapeError::codec("segment: trailing bytes"));
@@ -212,21 +148,11 @@ mod tests {
     #[test]
     fn round_trip() {
         let g = group();
-        for codec in [SegmentCodec::Rows, SegmentCodec::Columns] {
-            let out = SpilledGroup::decode(g.encode_with(codec)).unwrap();
-            assert_eq!(out, g, "{codec:?}");
-        }
+        assert_eq!(SpilledGroup::decode(g.encode()).unwrap(), g);
     }
 
     #[test]
-    fn encoded_rows_len_is_exact() {
-        for g in [
-            group(),
-            SpilledGroup::empty(PartitionId(0), 3),
-            SpilledGroup::empty(PartitionId(u32::MAX), 1),
-        ] {
-            assert_eq!(g.encode_rows().len(), g.encoded_rows_len());
-        }
+    fn heterogeneous_tuples_round_trip() {
         // Mixed value types, large seq/ts varints.
         let mut g = SpilledGroup::empty(PartitionId(300), 2);
         g.per_stream[0].push(
@@ -239,17 +165,22 @@ mod tests {
                 .pad(1_000_000)
                 .build(),
         );
-        assert_eq!(g.encode_rows().len(), g.encoded_rows_len());
-        // Heterogeneous tuples must round-trip through the columnar
-        // segment too (per-stream row fallback).
+        // Heterogeneous streams take the column block's per-stream row
+        // fallback.
         assert_eq!(SpilledGroup::decode(g.encode()).unwrap(), g);
     }
 
     #[test]
     fn columnar_segment_is_smaller_on_regular_data() {
         let g = group();
+        let rows: usize = g
+            .per_stream
+            .iter()
+            .flatten()
+            .map(crate::codec::encoded_tuple_len)
+            .sum();
         assert!(
-            g.encode().len() < g.encode_rows().len(),
+            g.encode().len() < rows,
             "column blocks should compress the regular spill shape"
         );
     }
@@ -270,7 +201,6 @@ mod tests {
     fn empty_group_round_trips() {
         let g = SpilledGroup::empty(PartitionId(3), 4);
         assert_eq!(SpilledGroup::decode(g.encode()).unwrap(), g);
-        assert_eq!(SpilledGroup::decode(g.encode_rows()).unwrap(), g);
     }
 
     #[test]
@@ -284,9 +214,12 @@ mod tests {
     #[test]
     fn bad_version_rejected() {
         let g = group();
-        let mut bytes = g.encode().to_vec();
-        bytes[4] = 99;
-        assert!(SpilledGroup::decode(bytes.into()).is_err());
+        // 1 is the retired row format; it must not be misread as blocks.
+        for version in [1u8, 99] {
+            let mut bytes = g.encode().to_vec();
+            bytes[4] = version;
+            assert!(SpilledGroup::decode(bytes.into()).is_err());
+        }
     }
 
     #[test]
@@ -300,14 +233,12 @@ mod tests {
     #[test]
     fn truncation_rejected() {
         let g = group();
-        for codec in [SegmentCodec::Rows, SegmentCodec::Columns] {
-            let bytes = g.encode_with(codec);
-            for cut in [5usize, 10, bytes.len() / 2, bytes.len() - 1] {
-                assert!(
-                    SpilledGroup::decode(bytes.slice(..cut)).is_err(),
-                    "{codec:?}: cut at {cut} should fail"
-                );
-            }
+        let bytes = g.encode();
+        for cut in [5usize, 10, bytes.len() / 2, bytes.len() - 1] {
+            assert!(
+                SpilledGroup::decode(bytes.slice(..cut)).is_err(),
+                "cut at {cut} should fail"
+            );
         }
     }
 }
@@ -324,11 +255,10 @@ mod fuzz_tests {
             let _ = SpilledGroup::decode(Bytes::from(data));
         }
 
-        /// Corrupting any single byte of a valid segment (either
-        /// format) either still round-trips (header-padding bits) or
-        /// errors — never panics.
+        /// Corrupting any single byte of a valid segment either still
+        /// round-trips (header-padding bits) or errors — never panics.
         #[test]
-        fn bit_flips_never_panic(idx in 0usize..200, flip in 1u8..255, columnar in any::<bool>()) {
+        fn bit_flips_never_panic(idx in 0usize..200, flip in 1u8..255) {
             let mut g = SpilledGroup::empty(PartitionId(3), 3);
             for s in 0..3u8 {
                 for i in 0..4u64 {
@@ -340,8 +270,7 @@ mod fuzz_tests {
                     );
                 }
             }
-            let codec = if columnar { SegmentCodec::Columns } else { SegmentCodec::Rows };
-            let mut bytes = g.encode_with(codec).to_vec();
+            let mut bytes = g.encode().to_vec();
             let idx = idx % bytes.len();
             bytes[idx] ^= flip;
             let _ = SpilledGroup::decode(bytes.into());

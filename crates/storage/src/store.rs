@@ -19,7 +19,7 @@ use dcape_common::hash::FxHashMap;
 use dcape_common::ids::PartitionId;
 
 use crate::backend::{SegmentHandle, SpillBackend};
-use crate::segment::{SegmentCodec, SpilledGroup};
+use crate::segment::SpilledGroup;
 
 /// Metadata retained in memory for one spilled segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,24 +61,15 @@ pub struct SpillStore {
     backend: Box<dyn SpillBackend>,
     /// Spill-order list of segments per partition ID.
     segments: FxHashMap<PartitionId, Vec<SegmentMeta>>,
-    /// Segment format used for writes (reads accept both).
-    codec: SegmentCodec,
     stats: SpillStats,
 }
 
 impl SpillStore {
-    /// Create a store over the given backend with the default
-    /// (column-block) segment codec.
+    /// Create a store over the given backend.
     pub fn new(backend: Box<dyn SpillBackend>) -> Self {
-        Self::with_codec(backend, SegmentCodec::default())
-    }
-
-    /// Create a store with an explicit segment codec.
-    pub fn with_codec(backend: Box<dyn SpillBackend>, codec: SegmentCodec) -> Self {
         SpillStore {
             backend,
             segments: FxHashMap::default(),
-            codec,
             stats: SpillStats::default(),
         }
     }
@@ -88,14 +79,9 @@ impl SpillStore {
         Self::new(Box::new(crate::backend::MemBackend::new()))
     }
 
-    /// The segment codec used for writes.
-    pub fn codec(&self) -> SegmentCodec {
-        self.codec
-    }
-
     /// Spill one partition group; returns its segment metadata.
     pub fn spill_group(&mut self, group: &SpilledGroup) -> Result<SegmentMeta> {
-        let bytes = group.encode_with(self.codec);
+        let bytes = group.encode();
         let state_bytes = group.state_bytes() as u64;
         let handle = self.backend.write_segment(&bytes)?;
         let meta = SegmentMeta {
@@ -257,28 +243,6 @@ mod tests {
         assert_eq!(metas.len(), 2);
         assert!(metas[0].tuples < metas[1].tuples);
         assert!(store.segments_of(PartitionId(99)).is_empty());
-    }
-
-    #[test]
-    fn codec_choice_controls_written_bytes() {
-        let g = group(1, 16);
-        let mut rows = SpillStore::with_codec(
-            Box::new(crate::backend::MemBackend::new()),
-            SegmentCodec::Rows,
-        );
-        let mut cols = SpillStore::in_memory();
-        assert_eq!(cols.codec(), SegmentCodec::Columns);
-        let mr = rows.spill_group(&g).unwrap();
-        let mc = cols.spill_group(&g).unwrap();
-        assert!(
-            mc.encoded_bytes < mr.encoded_bytes,
-            "columnar {} vs rows {}",
-            mc.encoded_bytes,
-            mr.encoded_bytes
-        );
-        // Both read back to the same group.
-        assert_eq!(rows.take_segments(PartitionId(1)).unwrap(), vec![g.clone()]);
-        assert_eq!(cols.take_segments(PartitionId(1)).unwrap(), vec![g]);
     }
 
     #[test]

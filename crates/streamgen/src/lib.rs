@@ -45,6 +45,7 @@
 //! ```
 
 pub mod generator;
+pub mod oracle;
 pub mod partitioner;
 pub mod pattern;
 pub mod schedule;

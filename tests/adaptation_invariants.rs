@@ -4,38 +4,121 @@
 //! adaptation schedule, run-time results + cleanup results = the
 //! reference join, exactly once each.** Spills, relocations, strategy
 //! choice, placement skew — none of it may change the answer, only its
-//! timing.
-
-use std::collections::HashMap;
+//! timing. The reference is the independent oracle
+//! (`dcape::streamgen::oracle`), windowed or not, on the sim and on the
+//! threaded runtime.
 
 use proptest::prelude::*;
 
 use dcape::cluster::faults::{FaultConfig, FaultPlan};
-use dcape::cluster::runtime::sim::{SimConfig, SimDriver};
+use dcape::cluster::runtime::sim::{SimConfig, SimDriver, SimReport};
+use dcape::cluster::runtime::threaded::run_threaded;
 use dcape::cluster::strategy::StrategyConfig;
 use dcape::cluster::PlacementSpec;
 use dcape::common::ids::PartitionId;
 use dcape::common::time::{VirtualDuration, VirtualTime};
 use dcape::engine::config::EngineConfig;
-use dcape::streamgen::{ArrivalPattern, StreamSetGenerator, StreamSetSpec};
+use dcape::streamgen::oracle::{self, ResultDigest};
+use dcape::streamgen::{ArrivalPattern, StreamSetSpec};
 
-fn reference_count(spec: &StreamSetSpec, deadline: VirtualTime) -> u64 {
-    let mut gen = StreamSetGenerator::new(spec.clone()).unwrap();
-    let tuples = gen.generate_until(deadline);
-    let mut counts: HashMap<(u8, i64), u64> = HashMap::new();
-    for t in &tuples {
-        *counts
-            .entry((t.stream().0, t.values()[0].as_int().unwrap()))
-            .or_default() += 1;
+fn run_sim(cfg: SimConfig, deadline: VirtualTime) -> SimReport {
+    let mut driver = SimDriver::new(cfg).unwrap();
+    driver.run_until(deadline).unwrap();
+    driver.finish().unwrap()
+}
+
+/// Alternating 10x skew on two roomy engines: lazy-disk relocates state
+/// back and forth and never spills.
+fn relocating_config(window: Option<VirtualDuration>) -> SimConfig {
+    let group_a: Vec<PartitionId> = (0..6).map(PartitionId).collect();
+    let spec = StreamSetSpec::uniform(24, 2400, 1, VirtualDuration::from_millis(30))
+        .with_payload_pad(200)
+        .with_seed(23)
+        .with_pattern(ArrivalPattern::AlternatingSkew {
+            group_a,
+            ratio: 10.0,
+            period: VirtualDuration::from_mins(2),
+        });
+    let mut engine = EngineConfig::three_way(1 << 30, 1 << 29);
+    engine.join.window = window;
+    SimConfig::new(
+        2,
+        engine,
+        spec,
+        StrategyConfig::LazyDisk {
+            theta_r: 0.9,
+            tau_m: VirtualDuration::from_secs(45),
+        },
+    )
+    .with_placement(PlacementSpec::Fractions(vec![0.5, 0.5]))
+    .with_stats_interval(VirtualDuration::from_secs(30))
+    .with_journal()
+}
+
+/// Windowed and unwindowed, on the sim and on real threads, through
+/// committed relocation rounds: every run routes exactly the oracle's
+/// tuples and emits exactly its result count.
+#[test]
+fn relocating_runs_match_the_oracle_windowed_and_not() {
+    let deadline = VirtualTime::from_mins(5);
+    for window in [None, Some(VirtualDuration::from_secs(45))] {
+        let cfg = relocating_config(window);
+        let expected = oracle::expected(&cfg.workload, window, deadline);
+
+        let sim = run_sim(cfg.clone(), deadline);
+        assert!(
+            !sim.relocations.is_empty(),
+            "window {window:?}: sim must relocate"
+        );
+        assert_eq!(
+            sim.total_output(),
+            expected.results,
+            "window {window:?}: sim"
+        );
+        assert_eq!(sim.journal_counters.tuples_routed, expected.tuples);
+        assert_eq!(sim.journal_counters.buffered_in_flight, 0);
+
+        let threaded = run_threaded(cfg, deadline).unwrap();
+        assert!(
+            threaded.relocations > 0,
+            "window {window:?}: threaded must relocate"
+        );
+        assert_eq!(
+            threaded.total_output(),
+            expected.results,
+            "window {window:?}: threaded"
+        );
+        assert_eq!(threaded.journal_counters.tuples_routed, expected.tuples);
+        assert_eq!(threaded.journal_counters.buffered_in_flight, 0);
     }
-    let keys: std::collections::HashSet<i64> = counts.keys().map(|(_, k)| *k).collect();
-    keys.into_iter()
-        .map(|k| {
-            (0..spec.num_streams as u8)
-                .map(|s| counts.get(&(s, k)).copied().unwrap_or(0))
-                .product::<u64>()
-        })
-        .sum()
+}
+
+/// A collecting sim run through spills, relocations and the cleanup
+/// phase emits exactly the oracle's result multiset: nothing lost,
+/// nothing duplicated, nothing outside the window.
+#[test]
+fn collecting_sim_run_matches_the_oracle_multiset() {
+    let deadline = VirtualTime::from_mins(3);
+    let mut cfg = relocating_config(Some(VirtualDuration::from_secs(90)));
+    cfg.engine.memory_budget = 1 << 22;
+    cfg.engine.spill_threshold = 300 << 10;
+    cfg.engine.spill_fraction = 0.4;
+    let (expected, digest) =
+        oracle::expected_digest(&cfg.workload, cfg.engine.join.window, deadline);
+
+    let report = run_sim(cfg.collecting(), deadline);
+    assert!(
+        report.spill_counts.iter().sum::<u64>() > 0,
+        "run must spill"
+    );
+    assert!(report.cleanup_output > 0, "cleanup must contribute results");
+    let runtime = report.runtime_results.as_ref().unwrap().results();
+    let cleanup = report.cleanup_results.as_ref().unwrap().results();
+    assert_eq!(report.total_output(), expected.results);
+    assert_eq!(
+        ResultDigest::of_results(runtime.iter().chain(cleanup)),
+        digest
+    );
 }
 
 fn strategy_from(idx: u8) -> StrategyConfig {
@@ -69,7 +152,7 @@ fn run_with_certain_install_crash(seed: u64) -> (dcape::cluster::runtime::sim::S
             period: VirtualDuration::from_mins(2),
         });
     let deadline = VirtualTime::from_mins(5);
-    let reference = reference_count(&spec, deadline);
+    let reference = oracle::expected(&spec, None, deadline).results;
     let crash_always = FaultConfig {
         crash_rate: 1.0,
         ..FaultConfig::none()
@@ -138,7 +221,7 @@ proptest! {
             .with_payload_pad(128)
             .with_seed(seed);
         let deadline = VirtualTime::from_mins(minutes);
-        let reference = reference_count(&spec, deadline);
+        let reference = oracle::expected(&spec, None, deadline).results;
 
         let engine = EngineConfig::three_way(64 << 20, threshold_kb << 10);
         let placement = match (skew, num_engines) {

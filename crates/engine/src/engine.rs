@@ -270,23 +270,19 @@ impl QueryEngine {
     /// Purge window-expired state up to `horizon` only — no spill
     /// check, no mode side effects. Used for the catch-up purge when a
     /// relocation's `Resume` releases a held-back watermark. Returns
-    /// the number of tuples dropped (0 for unwindowed queries).
+    /// the accounted bytes freed (0 for unwindowed queries).
+    ///
+    /// Skipped are the partitions with disk-resident segments *here*,
+    /// plus those whose segments live on another engine after a
+    /// relocation (`purge_protect`).
     pub fn purge_at(&mut self, horizon: VirtualTime) -> usize {
         if self.cfg.join.window.is_none() {
             return 0;
         }
-        let skip = self.purge_skip_set();
-        self.join.purge_expired(horizon, &skip)
-    }
-
-    /// Partitions the window purge must skip: those with disk-resident
-    /// segments *here*, plus those whose segments live on another
-    /// engine after a relocation (`purge_protect`).
-    fn purge_skip_set(&self) -> FxHashSet<PartitionId> {
-        let mut skip: FxHashSet<PartitionId> =
-            self.store.partitions_with_segments().into_iter().collect();
-        skip.extend(self.purge_protect.iter().copied());
-        skip
+        let (store, protect) = (&self.store, &self.purge_protect);
+        self.join.purge_expired(horizon, |pid| {
+            !store.segments_of(pid).is_empty() || protect.contains(&pid)
+        })
     }
 
     /// The active-disk `start_ss` command: spill `amount` bytes now,
@@ -719,21 +715,12 @@ impl QueryEngine {
         if used as f64 >= threshold as f64 * watermark {
             return Ok(None);
         }
-        // Smallest spilled partition (by accounted disk bytes) that
-        // fits back under the threshold.
+        // Smallest spilled partition (by accounted disk bytes, ties to
+        // the lower ID) that fits back under the threshold.
         let candidate = self
             .store
-            .partitions_with_segments()
-            .into_iter()
-            .map(|pid| {
-                let bytes: u64 = self
-                    .store
-                    .segments_of(pid)
-                    .iter()
-                    .map(|m| m.state_bytes)
-                    .sum();
-                (bytes, pid)
-            })
+            .segment_lists()
+            .map(|(pid, metas)| (metas.iter().map(|m| m.state_bytes).sum::<u64>(), pid))
             .filter(|(bytes, _)| used + bytes < threshold)
             .min();
         match candidate {
@@ -742,8 +729,10 @@ impl QueryEngine {
         }
     }
 
-    /// Debug-only accounting drift check: recompute state bytes from
-    /// scratch and compare with the incremental tracker.
+    /// Debug-only consistency check: recompute state bytes from
+    /// scratch and compare with the incremental tracker, and check the
+    /// window purge's expiry index against the resident groups
+    /// ([`MJoinOperator::check_expiry_index`]).
     pub fn assert_accounting_consistent(&self) -> Result<()> {
         let recomputed = self.join.recompute_state_bytes() as u64;
         let tracked = self.tracker.used();
@@ -760,7 +749,7 @@ impl QueryEngine {
                 self.id
             )));
         }
-        Ok(())
+        self.join.check_expiry_index()
     }
 }
 

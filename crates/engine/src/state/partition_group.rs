@@ -34,6 +34,7 @@ use dcape_storage::codec::{
     decode_value, encode_value, encoded_value_len, get_varint, put_varint, varint_len,
 };
 use dcape_storage::SpilledGroup;
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 use crate::config::StateLayout;
@@ -44,6 +45,12 @@ use crate::state::productivity::DecayState;
 /// Estimated per-tuple bookkeeping bytes beyond the tuple itself
 /// (vector slot + hash-index entry share).
 pub const PER_TUPLE_OVERHEAD: usize = 24;
+
+/// The expiry cutoff of a purge at `horizon`: rows with `ts < cutoff`
+/// can no longer join any arrival carrying `ts >= horizon`.
+pub(crate) fn expiry_cutoff(horizon: VirtualTime, window: VirtualDuration) -> VirtualTime {
+    VirtualTime::from_millis(horizon.as_millis().saturating_sub(window.as_millis()))
+}
 
 /// A join key carrying its precomputed [`fx_hash`].
 ///
@@ -118,6 +125,15 @@ impl StreamPartition {
     fn matches(&self, key: &HashedKey) -> &[u32] {
         self.index.get(key).map_or(&[], Vec::as_slice)
     }
+
+    /// Oldest stored timestamp: O(1) while sorted, a scan otherwise.
+    fn oldest(&self) -> Option<VirtualTime> {
+        if self.ts_sorted {
+            self.tuples.first().map(Tuple::ts)
+        } else {
+            self.tuples.iter().map(Tuple::ts).min()
+        }
+    }
 }
 
 /// Per-row bookkeeping that is only read at materialization, purge, or
@@ -145,19 +161,32 @@ struct RowMeta {
 /// the packed [`RowMeta`] record `meta[i]`, and the payload arena slice
 /// `meta[i-1].end..meta[i].end` holding the codec-encoded column
 /// values (arity varint + one [`encode_value`] per column). The join
-/// key lives only in the `index` — purge compacts the stores in place
-/// and remaps the index's positions, so no per-row key copy is ever
-/// stored. `end` is `u32`: one stream partition's arena is capped at
-/// 4 GiB, enforced *before* any result is emitted.
+/// key lives only in the `index` (a purge decodes it back from the
+/// arena), so no per-row key copy is ever stored. `end` is `u32`: one
+/// stream partition's arena is capped at 4 GiB, enforced *before* any
+/// result is emitted.
+///
+/// Storage positions `0..head` are purged rows whose column and arena
+/// space has not been reclaimed yet; the index lists live rows only.
+/// [`compact`](Self::compact) drops that prefix when an insert would
+/// otherwise grow a store, so capacity follows the live rows as with
+/// an eager drop, and reclaiming costs O(1) per purged row amortized
+/// while the live rows leave slack in the stores (at worst, with the
+/// stores full of live rows, one O(live) drop per insert — the cost of
+/// dropping eagerly).
 #[derive(Debug)]
 struct ColumnarPartition {
     ts: Vec<VirtualTime>,
     meta: Vec<RowMeta>,
     /// Packed encoded payloads of all rows, in insertion order.
     arena: Vec<u8>,
-    /// join key (with precomputed hash) -> positions in the columns.
+    /// join key (with precomputed hash) -> ascending positions of the
+    /// live rows in the columns.
     index: FxHashMap<HashedKey, Vec<u32>>,
-    /// Same meaning as [`StreamPartition::ts_sorted`].
+    /// Storage position of the first live row.
+    head: usize,
+    /// Same meaning as [`StreamPartition::ts_sorted`], over the live
+    /// rows.
     ts_sorted: bool,
 }
 
@@ -168,14 +197,16 @@ impl Default for ColumnarPartition {
             meta: Vec::new(),
             arena: Vec::new(),
             index: FxHashMap::default(),
+            head: 0,
             ts_sorted: true,
         }
     }
 }
 
 impl ColumnarPartition {
+    /// Live rows.
     fn len(&self) -> usize {
-        self.meta.len()
+        self.meta.len() - self.head
     }
 
     /// Arena bytes one tuple's payload will occupy (exact; walks every
@@ -191,12 +222,18 @@ impl ColumnarPartition {
     /// O(1) over-estimate from the tuple's cached heap size (which
     /// bounds every Text/Blob content length; fixed-width values encode
     /// in ≤ 11 bytes each); only near the 4 GiB edge does the exact
-    /// per-value walk run.
-    fn check_capacity(&self, tuple: &Tuple) -> Result<()> {
+    /// per-value walk run, after compacting away any purged prefix so
+    /// only live rows count against the limit.
+    fn check_capacity(&mut self, tuple: &Tuple) -> Result<()> {
         let bound = 10 + 11 * tuple.arity() + tuple.heap_size();
-        if self.arena.len() + bound > u32::MAX as usize
-            && self.arena.len() + Self::payload_len(tuple) > u32::MAX as usize
-        {
+        let fits = |arena: usize| {
+            arena + bound <= u32::MAX as usize
+                || arena + Self::payload_len(tuple) <= u32::MAX as usize
+        };
+        if !fits(self.arena.len()) && self.head > 0 {
+            self.compact();
+        }
+        if !fits(self.arena.len()) {
             return Err(DcapeError::state(
                 "columnar arena exceeds 4 GiB for one stream partition",
             ));
@@ -207,7 +244,10 @@ impl ColumnarPartition {
     /// Append one row. Infallible: callers run [`check_capacity`]
     /// first.
     fn insert(&mut self, key: HashedKey, tuple: &Tuple) {
-        if let Some(&last) = self.ts.last() {
+        if self.head > 0 && self.is_full_for(tuple) {
+            self.compact();
+        }
+        if let Some(&last) = self.live_ts().last() {
             self.ts_sorted &= tuple.ts() >= last;
         }
         let pos = self.meta.len() as u32;
@@ -224,19 +264,42 @@ impl ColumnarPartition {
         self.index.entry(key).or_default().push(pos);
     }
 
+    /// Would appending `tuple` grow a store? (`ts` grows with `meta`.)
+    fn is_full_for(&self, tuple: &Tuple) -> bool {
+        self.meta.len() == self.meta.capacity()
+            || self.arena.capacity() - self.arena.len() < Self::payload_len(tuple)
+    }
+
     fn matches(&self, key: &HashedKey) -> &[u32] {
         self.index.get(key).map_or(&[], Vec::as_slice)
     }
 
-    /// Rebuild row `i` from its columns and arena slice. The arena is
-    /// self-encoded at insert, so decode failures are impossible.
-    fn materialize(&self, stream: StreamId, i: usize) -> Tuple {
+    /// The arena slice of the row at storage position `i`.
+    fn payload(&self, i: usize) -> &[u8] {
         let start = if i == 0 {
             0
         } else {
             self.meta[i - 1].end as usize
         };
-        let mut buf = &self.arena[start..self.meta[i].end as usize];
+        &self.arena[start..self.meta[i].end as usize]
+    }
+
+    /// The join key of the row at storage position `i`, decoded from
+    /// its arena slice (`column` is the stream's join column).
+    fn key_at(&self, i: usize, column: usize) -> HashedKey {
+        let mut buf = self.payload(i);
+        get_varint(&mut buf).expect("arena: self-encoded");
+        for _ in 0..column {
+            decode_value(&mut buf).expect("arena: self-encoded");
+        }
+        HashedKey::new(decode_value(&mut buf).expect("arena: self-encoded"))
+    }
+
+    /// Rebuild the row at storage position `i` from its columns and
+    /// arena slice. The arena is self-encoded at insert, so decode
+    /// failures are impossible.
+    fn materialize(&self, stream: StreamId, i: usize) -> Tuple {
+        let mut buf = self.payload(i);
         let arity = get_varint(&mut buf).expect("arena: self-encoded") as usize;
         let mut values = Vec::with_capacity(arity);
         for _ in 0..arity {
@@ -245,16 +308,43 @@ impl ColumnarPartition {
         Tuple::new(stream, self.meta[i].seq, self.ts[i], values)
     }
 
-    /// Drop all rows with `ts < cutoff`, compacting every column and the
-    /// arena **in place** and remapping the index's positions through a
-    /// survivor table — no re-hashing, no key clones, no row
-    /// materialization. Returns the accounted bytes freed.
-    fn purge(&mut self, cutoff: VirtualTime) -> usize {
-        if self.ts.iter().all(|&t| t >= cutoff) {
+    /// Every live row, in insertion order.
+    fn rows(&self, stream: StreamId) -> impl Iterator<Item = Tuple> + '_ {
+        (self.head..self.meta.len()).map(move |i| self.materialize(stream, i))
+    }
+
+    /// Timestamps of the live rows.
+    fn live_ts(&self) -> &[VirtualTime] {
+        &self.ts[self.head..]
+    }
+
+    /// Oldest live timestamp: O(1) while sorted, a scan otherwise.
+    fn oldest(&self) -> Option<VirtualTime> {
+        if self.ts_sorted {
+            self.live_ts().first().copied()
+        } else {
+            self.live_ts().iter().copied().min()
+        }
+    }
+
+    /// Drop all rows with `ts < cutoff`. Returns the accounted bytes
+    /// freed. `column` is the stream's join column.
+    ///
+    /// A ts-sorted partition expires a prefix of its live rows
+    /// ([`purge_prefix`](Self::purge_prefix)) in O(expired rows). An
+    /// unsorted partition compacts every column and the arena **in
+    /// place** and remaps the index's positions through a survivor
+    /// table. Neither clones keys or materializes rows, and both leave
+    /// identical live rows behind.
+    fn purge(&mut self, cutoff: VirtualTime, column: usize) -> usize {
+        if self.ts_sorted {
+            return self.purge_prefix(cutoff, column);
+        }
+        if self.live_ts().iter().all(|&t| t >= cutoff) {
             return 0;
         }
         const DEAD: u32 = u32::MAX;
-        let mut remap = vec![DEAD; self.len()];
+        let mut remap = vec![DEAD; self.meta.len()];
         let mut freed = 0usize;
         let mut kept = 0usize;
         let mut arena_w = 0usize;
@@ -269,6 +359,9 @@ impl ColumnarPartition {
             let start = prev_end;
             let end = self.meta[i].end as usize;
             prev_end = end;
+            if i < self.head {
+                continue;
+            }
             if self.ts[i] < cutoff {
                 freed += self.meta[i].acct as usize + PER_TUPLE_OVERHEAD;
                 continue;
@@ -297,7 +390,58 @@ impl ColumnarPartition {
             });
             !positions.is_empty()
         });
+        self.head = 0;
         freed
+    }
+
+    /// [`purge`](Self::purge) for a ts-sorted partition: the first live
+    /// timestamp answers "is anything expired" in O(1), and the expired
+    /// rows are exactly the live prefix that `partition_point` finds.
+    /// Each one is the oldest live row of its key, so its position
+    /// heads its match list: decode the key, drop the position, drop the
+    /// list once empty. Lists of surviving keys are not visited, and `head`
+    /// advances past the prefix (the next insert that needs the space
+    /// compacts it away). Survivors stay sorted.
+    fn purge_prefix(&mut self, cutoff: VirtualTime, column: usize) -> usize {
+        let live = &self.ts[self.head..];
+        if live.first().is_none_or(|&t| t >= cutoff) {
+            return 0;
+        }
+        let n = live.partition_point(|&t| t < cutoff);
+        let mut freed = 0;
+        for i in self.head..self.head + n {
+            freed += self.meta[i].acct as usize + PER_TUPLE_OVERHEAD;
+            if let Entry::Occupied(mut ids) = self.index.entry(self.key_at(i, column)) {
+                debug_assert_eq!(ids.get()[0], i as u32);
+                if ids.get().len() == 1 {
+                    ids.remove();
+                } else {
+                    ids.get_mut().remove(0);
+                }
+            }
+        }
+        self.head += n;
+        freed
+    }
+
+    /// Drop the purged prefix from `ts`, `meta` and the arena, and
+    /// shift the survivors' arena offsets and index positions down by
+    /// its length. Callers ensure the prefix is not empty.
+    fn compact(&mut self) {
+        let head = std::mem::take(&mut self.head);
+        let arena_cut = self.meta[head - 1].end;
+        self.ts.drain(..head);
+        self.meta.drain(..head);
+        self.arena.drain(..arena_cut as usize);
+        for m in &mut self.meta {
+            m.end -= arena_cut;
+        }
+        let shift = head as u32;
+        for positions in self.index.values_mut() {
+            for p in positions.iter_mut() {
+                *p -= shift;
+            }
+        }
     }
 }
 
@@ -318,6 +462,10 @@ pub struct PartitionGroup {
     join_columns: Arc<[usize]>,
     window: Option<VirtualDuration>,
     bytes: usize,
+    /// Oldest resident timestamp across every stream (`None` while
+    /// empty): lowered on insert, recomputed after a purge drops rows.
+    /// The operator's expiry index keys windowed groups by it.
+    oldest: Option<VirtualTime>,
     output_count: u64,
     decay: DecayState,
     /// Reused per-stream row-materialization buffers for columnar
@@ -354,6 +502,7 @@ impl PartitionGroup {
             join_columns,
             window,
             bytes: 0,
+            oldest: None,
             output_count: 0,
             decay: DecayState::default(),
             scratch: Vec::new(),
@@ -381,6 +530,30 @@ impl PartitionGroup {
     /// Accounted state bytes (`P_size`).
     pub fn bytes(&self) -> usize {
         self.bytes
+    }
+
+    /// Oldest resident timestamp across all streams, `None` when empty.
+    pub fn oldest_ts(&self) -> Option<VirtualTime> {
+        self.oldest
+    }
+
+    /// Recompute [`oldest_ts`](Self::oldest_ts) from scratch, scanning
+    /// every stored timestamp (drift detection).
+    pub fn recompute_oldest_ts(&self) -> Option<VirtualTime> {
+        match &self.state {
+            StateStore::Row(streams) => streams
+                .iter()
+                .flat_map(|s| s.tuples.iter().map(Tuple::ts))
+                .min(),
+            StateStore::Columnar(cols) => {
+                cols.iter().flat_map(|c| c.live_ts().iter().copied()).min()
+            }
+        }
+    }
+
+    /// Lower the cached oldest timestamp for a newly stored row.
+    fn note_stored(&mut self, ts: VirtualTime) {
+        self.oldest = Some(self.oldest.map_or(ts, |o| o.min(ts)));
     }
 
     /// Results generated from this group so far (`P_output`).
@@ -503,7 +676,7 @@ impl PartitionGroup {
         sink: &mut dyn ResultSink,
     ) -> Result<(u64, usize)> {
         let s = tuple.stream().index();
-        if let StateStore::Columnar(cols) = &self.state {
+        if let StateStore::Columnar(cols) = &mut self.state {
             cols[s].check_capacity(&tuple)?;
         }
         let m = self.join_columns.len();
@@ -525,6 +698,7 @@ impl PartitionGroup {
         };
 
         let added = tuple.heap_size() + PER_TUPLE_OVERHEAD;
+        self.note_stored(tuple.ts());
         match &mut self.state {
             StateStore::Row(streams) => streams[s].insert(key, tuple),
             StateStore::Columnar(cols) => cols[s].insert(key, &tuple),
@@ -672,7 +846,9 @@ impl PartitionGroup {
 
     /// Drop every tuple whose window has fully expired at the purge
     /// `horizon` (i.e. it can no longer join with any arrival carrying
-    /// `ts >= horizon`), rebuilding the per-stream indexes. Callers
+    /// `ts >= horizon`) and update [`oldest_ts`](Self::oldest_ts). Row
+    /// state rebuilds the affected streams; columnar state drops an
+    /// expired prefix or compacts (see `ColumnarPartition::purge`). Callers
     /// pass a watermark-driven horizon — never ahead of the oldest
     /// tuple still in flight — so expiry is judged against data
     /// progress, not the wall clock. Returns the accounted bytes
@@ -681,8 +857,7 @@ impl PartitionGroup {
         let Some(window) = self.window else {
             return 0;
         };
-        let cutoff =
-            VirtualTime::from_millis(horizon.as_millis().saturating_sub(window.as_millis()));
+        let cutoff = expiry_cutoff(horizon, window);
         let mut freed = 0usize;
         match &mut self.state {
             StateStore::Row(streams) => {
@@ -709,12 +884,22 @@ impl PartitionGroup {
                 }
             }
             StateStore::Columnar(cols) => {
-                for cp in cols.iter_mut() {
-                    freed += cp.purge(cutoff);
+                for (cp, &column) in cols.iter_mut().zip(self.join_columns.iter()) {
+                    freed += cp.purge(cutoff, column);
                 }
             }
         }
-        self.bytes -= freed;
+        if freed > 0 {
+            self.bytes -= freed;
+            self.oldest = match &self.state {
+                StateStore::Row(streams) => {
+                    streams.iter().filter_map(StreamPartition::oldest).min()
+                }
+                StateStore::Columnar(cols) => {
+                    cols.iter().filter_map(ColumnarPartition::oldest).min()
+                }
+            };
+        }
         freed
     }
 
@@ -729,11 +914,7 @@ impl PartitionGroup {
             StateStore::Columnar(cols) => cols
                 .iter()
                 .enumerate()
-                .map(|(s, cp)| {
-                    (0..cp.len())
-                        .map(|i| cp.materialize(StreamId(s as u8), i))
-                        .collect()
-                })
+                .map(|(s, cp)| cp.rows(StreamId(s as u8)).collect())
                 .collect(),
         };
         (
@@ -770,6 +951,7 @@ impl PartitionGroup {
                         .ok_or_else(|| DcapeError::state("snapshot tuple lacks join column"))?
                         .clone(),
                 );
+                let ts = t.ts();
                 match &mut group.state {
                     StateStore::Row(streams) => {
                         group.bytes += t.heap_size() + PER_TUPLE_OVERHEAD;
@@ -791,6 +973,7 @@ impl PartitionGroup {
                         cols[s].insert(key, &t);
                     }
                 }
+                group.note_stored(ts);
             }
         }
         group.output_count = output_count;
@@ -805,11 +988,7 @@ impl PartitionGroup {
             StateStore::Columnar(cols) => cols
                 .iter()
                 .enumerate()
-                .map(|(s, cp)| {
-                    (0..cp.len())
-                        .map(|i| cp.materialize(StreamId(s as u8), i))
-                        .collect()
-                })
+                .map(|(s, cp)| cp.rows(StreamId(s as u8)).collect())
                 .collect(),
         };
         SpilledGroup {
@@ -831,11 +1010,8 @@ impl PartitionGroup {
             StateStore::Columnar(cols) => cols
                 .iter()
                 .enumerate()
-                .flat_map(|(s, cp)| {
-                    (0..cp.len()).map(move |i| {
-                        cp.materialize(StreamId(s as u8), i).heap_size() + PER_TUPLE_OVERHEAD
-                    })
-                })
+                .flat_map(|(s, cp)| cp.rows(StreamId(s as u8)))
+                .map(|t| t.heap_size() + PER_TUPLE_OVERHEAD)
                 .sum(),
         }
     }
@@ -1172,6 +1348,62 @@ mod tests {
         assert!(fr > 0);
         assert_eq!(row.bytes(), col.bytes());
         assert_eq!(row.snapshot(), col.snapshot());
+        assert_eq!(col.bytes(), col.recompute_bytes());
+    }
+
+    #[test]
+    fn purged_prefix_is_compacted_by_the_insert_that_needs_room() {
+        // A purge drops the expired positions from the index but leaves
+        // the rows' storage; the insert that finds the stores full
+        // compacts it away and shifts the positions down. Probes
+        // (counting and enumerating) match the row layout throughout.
+        let window = Some(VirtualDuration::from_millis(5));
+        let mut row = PartitionGroup::new(PartitionId(0), vec![0, 0, 0], window, StateLayout::Row);
+        let mut col =
+            PartitionGroup::new(PartitionId(0), vec![0, 0, 0], window, StateLayout::Columnar);
+        let key = HashedKey::new(Value::Int(1));
+        let mut sink = CountingSink::new();
+        for g in [&mut row, &mut col] {
+            for i in 0..8u64 {
+                g.insert(tpl(0, i, 1), &mut sink).unwrap();
+            }
+            g.insert(tpl(1, 10, 1), &mut sink).unwrap();
+            // Cutoff 3: rows 0..3 of stream 0 expire.
+            g.purge_expired(VirtualTime::from_millis(8));
+        }
+        let StateStore::Columnar(cols) = &col.state else {
+            unreachable!("columnar group");
+        };
+        assert_eq!(cols[0].head, 3);
+        assert_eq!(cols[0].meta.len(), cols[0].meta.capacity(), "stores full");
+        assert_eq!(cols[0].matches(&key), &[3, 4, 5, 6, 7]);
+        assert_eq!(row.snapshot(), col.snapshot());
+        for g in [&mut row, &mut col] {
+            g.insert(tpl(0, 8, 1), &mut sink).unwrap();
+        }
+        let StateStore::Columnar(cols) = &col.state else {
+            unreachable!("columnar group");
+        };
+        assert_eq!(cols[0].head, 0);
+        assert_eq!(cols[0].matches(&key), &[0, 1, 2, 3, 4, 5]);
+        assert_eq!(row.snapshot(), col.snapshot());
+        // Stream-0 rows at ts 5..=8 fit the window with ts 10 and 8.
+        let mut collect = CollectingSink::new();
+        let t = TupleBuilder::new(StreamId(2))
+            .seq(11)
+            .ts(VirtualTime::from_millis(8))
+            .value(1i64)
+            .build();
+        assert_eq!(row.insert(t.clone(), &mut collect).unwrap().0, 4);
+        assert_eq!(col.insert(t, &mut collect).unwrap().0, 4);
+        let ids = collect.identities();
+        assert_eq!(ids.len(), 8);
+        assert!(ids.chunks(2).all(|pair| pair[0] == pair[1]));
+        let (mut count_r, mut count_c) = (CountingSink::new(), CountingSink::new());
+        let t = tpl(2, 9, 1);
+        row.insert(t.clone(), &mut count_r).unwrap();
+        col.insert(t, &mut count_c).unwrap();
+        assert_eq!((count_r.count(), count_c.count()), (4, 4));
         assert_eq!(col.bytes(), col.recompute_bytes());
     }
 

@@ -9,14 +9,18 @@
 //! * purging frees the memory of expired tuples without affecting
 //!   results;
 //! * spill + cleanup stay exact for windowed queries — expired
-//!   cross-slice combinations are NOT resurrected by the cleanup merge.
+//!   cross-slice combinations are NOT resurrected by the cleanup merge;
+//! * a spilled partition is skipped by the purge only while it has
+//!   segments: once reactivated, its expired tuples are purged.
 
 use dcape_common::ids::{EngineId, PartitionId, StreamId};
+use dcape_common::mem::HeapSize;
 use dcape_common::time::{VirtualDuration, VirtualTime};
 use dcape_common::tuple::{Tuple, TupleBuilder};
 use dcape_engine::config::EngineConfig;
 use dcape_engine::engine::QueryEngine;
 use dcape_engine::sink::{CollectingSink, CountingSink};
+use dcape_engine::state::partition_group::PER_TUPLE_OVERHEAD;
 
 fn tpl(stream: u8, seq: u64, key: i64, ts_ms: u64) -> Tuple {
     TupleBuilder::new(StreamId(stream))
@@ -140,6 +144,111 @@ fn windowed_spill_plus_cleanup_is_exact() {
         "windowed spill/cleanup produced wrong cardinality"
     );
     assert_eq!(produced, reference);
+}
+
+fn pid_of(t: &Tuple) -> PartitionId {
+    PartitionId((t.get(0).unwrap().as_int().unwrap() % 4) as u32)
+}
+
+#[test]
+fn reactivated_partition_leaves_the_skip_set_and_is_purged() {
+    let window_ms = 600;
+    let all = workload(400);
+    let mut cfg = EngineConfig::three_way(1 << 30, 1 << 20).with_reactivation(0.5);
+    cfg.join = cfg
+        .join
+        .with_window(VirtualDuration::from_millis(window_ms));
+    cfg.ss_timer = VirtualDuration::from_millis(200);
+    let mut engine = QueryEngine::in_memory(EngineId(0), cfg).unwrap();
+    let mut sink = CollectingSink::new();
+    let (before_spill, rest) = all.split_at(100);
+    let (while_spilled, after) = rest.split_at(150);
+    for t in before_spill {
+        engine.process(pid_of(t), t.clone(), &mut sink).unwrap();
+        engine.tick(t.ts()).unwrap();
+    }
+
+    // Spill while the window is live: the victims keep receiving
+    // tuples, and the purge must skip them while their segments exist.
+    let now = before_spill.last().unwrap().ts();
+    let spilled = engine.force_spill(engine.memory_used() / 2, now).unwrap();
+    assert!(
+        !spilled.groups.is_empty(),
+        "the forced spill must pick victims"
+    );
+    assert_eq!(engine.spilled_partitions(), {
+        let mut pids = spilled.groups.clone();
+        pids.sort_unstable();
+        pids
+    });
+    for t in while_spilled {
+        engine.process(pid_of(t), t.clone(), &mut sink).unwrap();
+        engine.tick(t.ts()).unwrap();
+        engine.assert_accounting_consistent().unwrap();
+    }
+    let now = while_spilled.last().unwrap().ts();
+    let cutoff = now.as_millis() - window_ms;
+    let seen = before_spill.len() + while_spilled.len();
+    let bytes = |tuples: &[Tuple], pid: PartitionId, keep: &dyn Fn(&Tuple) -> bool| -> usize {
+        tuples
+            .iter()
+            .filter(|t| pid_of(t) == pid && keep(t))
+            .map(|t| t.heap_size() + PER_TUPLE_OVERHEAD)
+            .sum()
+    };
+    let bytes_of = |engine: &QueryEngine, pid: PartitionId| {
+        engine
+            .join()
+            .group_stats()
+            .iter()
+            .find(|g| g.pid == pid)
+            .map_or(0, |g| g.bytes)
+    };
+    for &pid in &spilled.groups {
+        // Skipped: every post-spill arrival is still resident, expired
+        // ones included.
+        assert_eq!(bytes_of(&engine, pid), bytes(while_spilled, pid, &|_| true));
+        assert!(
+            bytes(while_spilled, pid, &|t| t.ts().as_millis() < cutoff) > 0,
+            "spilled partition {pid} must hold expired tuples the purge skipped"
+        );
+    }
+
+    // Memory is far below the watermark: every spilled partition is
+    // reactivated and leaves the skip set.
+    let mut reactivated = 0;
+    while engine.maybe_reactivate(&mut sink).unwrap().is_some() {
+        reactivated += 1;
+    }
+    assert_eq!(reactivated, spilled.groups.len());
+    assert!(engine.spilled_partitions().is_empty());
+    engine.assert_accounting_consistent().unwrap();
+
+    // The next pulse purges their expired tuples — the merged disk
+    // slices and the resident ones alike. Whatever has `ts >= cutoff`
+    // was never purged, so it is exactly what must remain.
+    engine.tick(now).unwrap();
+    engine.assert_accounting_consistent().unwrap();
+    for &pid in &spilled.groups {
+        let live = bytes(&all[..seen], pid, &|t| t.ts().as_millis() >= cutoff);
+        assert_eq!(bytes_of(&engine, pid), live, "partition {pid} after purge");
+    }
+    assert_eq!(
+        engine.memory_used() as usize,
+        engine.join().recompute_state_bytes()
+    );
+
+    for t in after {
+        engine.process(pid_of(t), t.clone(), &mut sink).unwrap();
+        engine.tick(t.ts()).unwrap();
+    }
+    engine.assert_accounting_consistent().unwrap();
+    let mut cleanup = CollectingSink::new();
+    engine.cleanup(&mut cleanup).unwrap();
+    let mut produced = sink.identities();
+    produced.extend(cleanup.identities());
+    produced.sort();
+    assert_eq!(produced, windowed_reference(&all, window_ms));
 }
 
 #[test]

@@ -220,7 +220,6 @@ fn bench_windowed_insert(c: &mut Criterion) {
             let cfg = MJoinConfig::same_column(3, 0).with_window(VirtualDuration::from_millis(500));
             let mut op = MJoinOperator::new(cfg, MemoryTracker::new(u64::MAX)).unwrap();
             let mut sink = CountingSink::new();
-            let skip = dcape_common::hash::FxHashSet::default();
             for seq in 0..1000u64 {
                 for s in 0..3u8 {
                     let key = (seq % 40) as i64;
@@ -230,7 +229,7 @@ fn bench_windowed_insert(c: &mut Criterion) {
                         .unwrap();
                 }
                 if seq % 100 == 0 {
-                    op.purge_expired(VirtualTime::from_millis(seq * 10), &skip);
+                    op.purge_expired(VirtualTime::from_millis(seq * 10), |_| false);
                 }
             }
             black_box(sink.count())

@@ -101,14 +101,18 @@ impl SpillStore {
     /// Partitions that currently have disk-resident segments, sorted for
     /// deterministic cleanup order.
     pub fn partitions_with_segments(&self) -> Vec<PartitionId> {
-        let mut pids: Vec<PartitionId> = self
-            .segments
-            .iter()
-            .filter(|(_, v)| !v.is_empty())
-            .map(|(pid, _)| *pid)
-            .collect();
+        let mut pids: Vec<PartitionId> = self.segment_lists().map(|(pid, _)| pid).collect();
         pids.sort_unstable();
         pids
+    }
+
+    /// Every partition with disk-resident segments and its segment
+    /// metadata, in arbitrary order (no allocation, no sort).
+    pub fn segment_lists(&self) -> impl Iterator<Item = (PartitionId, &[SegmentMeta])> {
+        self.segments
+            .iter()
+            .filter(|(_, v)| !v.is_empty())
+            .map(|(pid, v)| (*pid, v.as_slice()))
     }
 
     /// Segment metadata for one partition, in spill order.
